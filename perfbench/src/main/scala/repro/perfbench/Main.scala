@@ -1,20 +1,20 @@
 package repro.perfbench
 
+import com.fasterxml.jackson.databind.ObjectMapper
+import com.fasterxml.jackson.module.scala.DefaultScalaModule
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
 /** One benchmark run: `--workload <name> --seed <n> --seconds <s> --trace <0|1>`.
   *
-  * A closed loop with one client: set-up (repeated `SetupRepeats` times, the
-  * median is `setup_s`), an untimed warm-up round, then timed calls, one at
-  * a time, until `--seconds` have passed. Every call is checked
+  * A closed loop with one client: set-up of every dataset (`setup_s` is the
+  * median over datasets), an untimed warm-up round, then timed calls, one
+  * at a time, until `--seconds` have passed. Every call is checked
   * ([[Ops.check]]). With `--trace 1` the timed calls are replaced by
   * [[Traced]] rounds that time each layer from outside. The last stdout line
   * is the result object.
   */
 object Main {
-  val SetupRepeats = 3
-
   final case class Opts(workload: String, seed: Long, seconds: Int, trace: Boolean, scratch: String)
 
   def parse(args: Array[String]): Opts = {
@@ -24,14 +24,16 @@ object Main {
          kv.getOrElse("trace", "0") == "1", kv.getOrElse("scratch", "."))
   }
 
-  /** The benchmark's own session: `local[N]` with N ≤ 4, and a pinned leaf
-    * parallelism so `spark.range` — and with it `SynthData.pois`, which
-    * seeds `rand` per partition — yields the same objects on any machine.
+  /** The benchmark's own session: `local[1]`, one task at a time, with a
+    * pinned leaf parallelism so `spark.range` — and with it
+    * `SynthData.pois`, which seeds `rand` per partition — yields the same
+    * objects on any machine. At n = 1k a job is mostly scheduling, which
+    * more task threads do not shorten; on a 4-vCPU VM with CPU steal,
+    * `local[4]` made the GI-DS figures vary more from run to run.
     */
   def session(scratch: String): SparkSession = {
-    val threads = math.min(4, Runtime.getRuntime.availableProcessors)
     val s = SparkSession.builder
-      .master(s"local[$threads]")
+      .master("local[1]")
       .appName("asrs-perfbench")
       .config("spark.ui.enabled", "false")
       .config("spark.sql.leafNodeDefaultParallelism", "4")
@@ -49,28 +51,6 @@ object Main {
     if (s.length % 2 == 1) s(m) else (s(m - 1) + s(m)) / 2
   }
 
-  /** Set-up, repeated; checks that every repetition builds identical inputs
-    * and, for data seeds listed in `fingerprints.tsv`, the recorded
-    * fingerprint.
-    */
-  def setUp(spark: SparkSession, w: Workload, seed: Long, repeats: Int): (Prepared, Seq[Double]) = {
-    var last: Prepared = null
-    val secs = (1 to repeats).map { _ =>
-      if (last != null) last.datasets.foreach(_.unpersist(blocking = true))
-      val t0 = System.nanoTime()
-      val p = Workloads.prepare(spark, w, seed)
-      val s = (System.nanoTime() - t0) / 1e9
-      if (last != null && (p.fingerprints != last.fingerprints || Json.render(p.inputs) != Json.render(last.inputs)))
-        throw new IllegalStateException("set-up is not deterministic: inputs differ between repetitions")
-      last = p
-      s
-    }
-    last.fingerprints.zipWithIndex.foreach { case (fp, i) =>
-      Fingerprints.check(w.n, Workloads.dataSeed(w, seed, i), fp)
-    }
-    (last, secs)
-  }
-
   def main(args: Array[String]): Unit = {
     val o = parse(args)
     val w = Workloads.byName(o.workload)
@@ -78,8 +58,9 @@ object Main {
     val code =
       try {
         val (result, meta) = if (o.trace) Traced.run(spark, w, o) else timedRun(spark, w, o)
-        println(Json.render(meta))
-        println(Json.render(result))
+        val json = new ObjectMapper().registerModule(DefaultScalaModule)
+        println(json.writeValueAsString(meta))
+        println(json.writeValueAsString(result))
         0
       } catch {
         case e: Exception =>
@@ -93,31 +74,30 @@ object Main {
   private def metric(v: Double, unit: String) = Map("value" -> v, "unit" -> unit)
 
   def timedRun(spark: SparkSession, w: Workload, o: Opts): (Map[String, Any], Map[String, Any]) = {
-    val (p, setupSecs) = setUp(spark, w, o.seed, SetupRepeats)
-    // The untimed warm-up round runs every (query, solver) pair, checks the
-    // solvers against each other and fixes each query's reference. Then each
-    // solver times one pass over its queries, and until `seconds` have
-    // passed the solver with the least time so far runs another pass, so the
-    // cheaper solvers collect more samples.
-    val (warm, refs) = Ops.round(p.queries)
-    val timed = mutable.ArrayBuffer.empty[Op]
-    val spent = mutable.Map.from(Solver.all.map(_ -> 0.0))
-    val passes = mutable.Map.from(Solver.all.map(_ -> 0))
+    val started = java.lang.management.ManagementFactory.getRuntimeMXBean.getUptime / 1e3
     val t0 = System.nanoTime()
-    while (Solver.all.exists(passes(_) == 0) || System.nanoTime() - t0 < o.seconds * 1000000000L) {
-      val s = Solver.all.find(passes(_) == 0).getOrElse(Solver.all.minBy(spent))
-      p.queries.filter(_.solvers.contains(s)).foreach { q =>
-        val op = Ops.timed(s, q)
-        Ops.check(op, refs(q))
-        timed += op
-        spent(s) += op.ms
-      }
-      passes(s) += 1
+    val p = Workloads.prepare(spark, w, o.seed, w.datasets)
+    val t1 = System.nanoTime()
+    // The untimed warm-up round calls every solver of every query once: it
+    // fixes each query's reference answer, and it gives the JIT time to
+    // settle (with a single warm-up call per solver, calls kept getting
+    // faster through the timed phase). The timed phase then visits the
+    // queries in turn, each visit calling every solver of the query once,
+    // until every query has been visited and `seconds` have passed.
+    val refs = mutable.Map.empty[Query, Option[Double]]
+    val warm = p.queries.flatMap(Ops.visit(_, refs))
+    val t2 = System.nanoTime()
+    val timed = mutable.ArrayBuffer.empty[Op]
+    val deadline = System.nanoTime() + o.seconds * 1000000000L
+    var i = 0
+    while (i < p.queries.size || System.nanoTime() < deadline) {
+      timed ++= Ops.visit(p.queries(i % p.queries.size), refs)
+      i += 1
     }
     val all = warm ++ timed
     val failed = all.count(!_.ok)
     def of(s: Solver) = timed.filter(_.solver == s).toSeq
-    // Calls per second over one pass of the solver's queries, each query
+    // Calls per second over one round of the solver's queries, each query
     // timed by the median of its calls, so one slow call (a GC pause) does
     // not set the figure.
     def qps(s: Solver) = {
@@ -127,13 +107,12 @@ object Main {
     def p50(s: Solver) = median(of(s).map(_.ms))
     import Solver._
     val metrics = Map(
-      "setup_s"          -> metric(median(setupSecs), "s"),
+      "setup_s"          -> metric(median(p.setupSecs), "s"),
       "ok_share"         -> metric(1.0 - failed.toDouble / all.size, "ratio"),
       "index_mb"         -> metric(p.queries.filter(_.index != null).map(_.index.sizeBytes).max / 1e6, "MB"),
       "ds_search.qps"    -> metric(qps(DS), "1/s"),
       "ds_search.p50_ms" -> metric(p50(DS), "ms"),
       "gids.qps"         -> metric(qps(GIDS), "1/s"),
-      "gids.p50_ms"      -> metric(p50(GIDS), "ms"),
       "app_gids.qps"     -> metric(qps(App), "1/s"),
       "app_gids.quality" -> metric(of(App).map(_.quality).filterNot(_.isNaN).maxOption.getOrElse(Double.NaN), "ratio"),
       "maxrs_ds.qps"     -> metric(qps(MaxDS), "1/s"),
@@ -142,9 +121,11 @@ object Main {
     )
     val meta = Map(
       "workload" -> w.name, "seed" -> o.seed, "trace" -> 0, "threads" -> spark.sparkContext.defaultParallelism,
-      "fingerprints" -> p.fingerprints, "inputs" -> p.inputs, "setup_s" -> setupSecs,
+      "fingerprints" -> p.fingerprints, "inputs" -> p.inputs, "setup_s" -> p.setupSecs,
       "call_ms" -> Solver.all.map(s => s.key -> of(s).map(o => math.round(o.ms))).toMap,
-      "ops" -> all.size)
+      "rounds" -> i.toDouble / p.queries.size, "ops" -> all.size,
+      "phase_s" -> Map("start" -> started, "setup" -> (t1 - t0) / 1e9, "warmup" -> (t2 - t1) / 1e9,
+                       "timed" -> (System.nanoTime() - t2) / 1e9))
     (Map("correct" -> (failed == 0), "attempted" -> all.size, "failed" -> failed, "metrics" -> metrics), meta)
   }
 }

@@ -1,6 +1,7 @@
 package repro.perfbench
 
 import repro.core._
+import scala.collection.mutable
 
 /** What one solver call returned, reduced to what the checks and metrics need. */
 final case class Outcome(score: Double, stats: Option[SearchStats],
@@ -54,19 +55,14 @@ object Ops {
     new Op(solver, q, (System.nanoTime() - t0) / 1e6, out, err)
   }
 
-  /** Run every (query, solver) pair of `queries` once, in order, and check
-    * each answer against the query's reference; returns the ops and the
-    * references.
+  /** Call every solver of `q` once, in order, and check each answer against
+    * the query's reference, which the first visit to `q` fixes.
     */
-  def round(queries: Seq[Query], around: (() => Outcome) => Outcome = f => f())
-      : (Seq[Op], Map[Query, Option[Double]]) = {
-    val done = queries.map { q =>
-      val ops = q.solvers.map(s => timed(s, q, around))
-      val ref = reference(q, ops)
-      ops.foreach(check(_, ref))
-      (ops, q -> ref)
-    }
-    (done.flatMap(_._1), done.map(_._2).toMap)
+  def visit(q: Query, refs: mutable.Map[Query, Option[Double]]): Seq[Op] = {
+    val ops = q.solvers.map(s => timed(s, q))
+    val ref = refs.getOrElseUpdate(q, reference(q, ops))
+    ops.foreach(check(_, ref))
+    ops
   }
 
   private def close(x: Double, ref: Double): Boolean =

@@ -13,10 +13,17 @@ import scala.collection.mutable
   * answer, plus each solver call's search counters and Spark jobs. Nothing
   * inside the program is instrumented.
   *
-  * Times (`*_ms`) are medians over calls; counts are per-round sums (the
-  * median over rounds; they repeat exactly between rounds and runs).
+  * Times (`*_ms`) are medians over calls; counts are per-round sums. The run
+  * makes at least two rounds, and every count but executor time must repeat
+  * exactly between them: each such count is checked like an op, and one that
+  * changes fails the run.
   */
 object Traced {
+
+  /** A traced round covers the first datasets only: the layer timings add
+    * several Spark jobs per query, and the run must make two rounds.
+    */
+  val TracedDatasets = 4
 
   /** Counts Spark jobs and executor run time; registered in this run only. */
   final class JobCounter extends SparkListener {
@@ -45,8 +52,8 @@ object Traced {
 
   def run(spark: SparkSession, w: Workload, o: Main.Opts): (Map[String, Any], Map[String, Any]) = {
     val sc = spark.sparkContext
-    val (p, _) = Main.setUp(spark, w, o.seed, 1)
-    val (warm, _) = Ops.round(p.queries)
+    val p = Workloads.prepare(spark, w, o.seed, math.min(TracedDatasets, w.datasets))
+    val warm = p.queries.flatMap(Ops.visit(_, mutable.Map.empty))
     val counter = new JobCounter
     sc.addSparkListener(counter)
     val times = mutable.Map.empty[String, mutable.ArrayBuffer[Double]]
@@ -61,7 +68,7 @@ object Traced {
     val ops = mutable.ArrayBuffer.empty[Op]
     val rounds = mutable.ArrayBuffer.empty[Map[String, Double]]
     val t0 = System.nanoTime()
-    while (rounds.isEmpty || System.nanoTime() - t0 < o.seconds * 1000000000L) {
+    while (rounds.size < 2 || System.nanoTime() - t0 < o.seconds * 1000000000L) {
       val counts = mutable.Map.empty[String, Double].withDefaultValue(0.0)
       p.indexed.foreach { case (data, spec) => time("gridindex.build_ms")(Workloads.buildIndex(data, spec)) }
 
@@ -151,18 +158,18 @@ object Traced {
     sc.removeSparkListener(counter)
 
     val exact = Counts.filterNot(_.endsWith("spark_task_ms"))
-    rounds.tail.foreach { r =>
-      exact.filter(k => r(k) != rounds.head(k)).foreach(k =>
-        Console.err.println(s"[perfbench] count $k changed between rounds: ${rounds.head(k)} vs ${r(k)}"))
-    }
+    val changed = exact.filter(k => rounds.exists(_(k) != rounds.head(k)))
+    changed.foreach(k => Console.err.println(
+      s"[perfbench] FAILED count $k changed between rounds: ${rounds.map(_(k)).mkString(", ")}"))
     val metrics = Times.map(k => k -> Map("value" -> Main.median(times(k).toSeq), "unit" -> unit(k))) ++
-                  Counts.map(k => k -> Map("value" -> Main.median(rounds.map(_(k)).toSeq), "unit" -> unit(k)))
+                  Counts.map(k => k -> Map("value" -> rounds.head(k), "unit" -> unit(k)))
     val all = warm ++ ops
-    val failed = all.count(!_.ok)
+    val attempted = all.size + exact.size
+    val failed = all.count(!_.ok) + changed.size
     val meta = Map("workload" -> w.name, "seed" -> o.seed, "trace" -> 1,
                    "threads" -> sc.defaultParallelism, "fingerprints" -> p.fingerprints,
                    "rounds" -> rounds.size, "ops" -> all.size)
-    (Map("correct" -> (failed == 0), "attempted" -> all.size, "failed" -> failed,
+    (Map("correct" -> (failed == 0), "attempted" -> attempted, "failed" -> failed,
          "metrics" -> metrics.toMap), meta)
   }
 }

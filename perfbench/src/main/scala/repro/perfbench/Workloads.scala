@@ -28,19 +28,24 @@ final case class Query(id: String, k: Int, data: DataFrame, spec: CompositeAggre
   def isMaxRS: Boolean = target == null
 }
 
-/** Everything set-up produces: the cached datasets with their fingerprints,
-  * the queries with their computed inputs, and the (data, spec) pairs a grid
-  * index was built for.
+/** Everything set-up produces: the datasets' fingerprints, the queries, the
+  * (data, spec) pairs a grid index was built for, each ASRS query's computed
+  * target by query id, and each dataset's set-up time in seconds.
   */
-final case class Prepared(datasets: Seq[DataFrame], fingerprints: Seq[Seq[String]],
-                          queries: Seq[Query], indexed: Seq[(DataFrame, CompositeAggregator)],
-                          inputs: Seq[Map[String, Any]])
+final case class Prepared(fingerprints: Seq[Seq[String]], queries: Seq[Query],
+                          indexed: Seq[(DataFrame, CompositeAggregator)],
+                          inputs: Map[String, Seq[Double]], setupSecs: Seq[Double])
 
-/** A workload: `datasets` independent sets of `n` synthetic POIs, and the
-  * queries asked of each. Averaging over several datasets keeps one
-  * dataset's geometry from setting a run's figures.
+/** A workload: `datasets` independent sets of `n` synthetic POIs. Dataset
+  * `i` is asked one ASRS query (the workload's spec) of size
+  * `sizes(i % sizes.size)·q`; the first `maxrsDatasets` are also asked a
+  * MaxRS query of that size. The cost of a GI-DS query varies severalfold
+  * with the data, so a run spreads its time over many datasets rather than
+  * over repeats of a few queries. MaxRS costs about the same on any of
+  * them, so fewer datasets suffice.
   */
-final case class Workload(name: String, n: Long, datasets: Int, sizes: Seq[Int], spec: String)
+final case class Workload(name: String, n: Long, datasets: Int, maxrsDatasets: Int,
+                          sizes: Seq[Int], spec: String)
 
 object Workloads {
 
@@ -53,8 +58,8 @@ object Workloads {
     Seq(DistAgg("dow", SynthData.DowDomain)), Array(0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5))
 
   val all: Seq[Workload] = Seq(
-    Workload("lattice-f1-1k-x4", 1000, 4, Seq(32, 64), "F1"),
-    Workload("lattice-f2-1k-x2", 1000, 2, Seq(16, 40), "F2"))
+    Workload("lattice-f1-1k-x16", 1000, 16, 8, Seq(16, 32, 64), "F1"),
+    Workload("lattice-f2-1k-x16", 1000, 16, 6, Seq(4, 6), "F2"))
 
   def byName(name: String): Workload =
     all.find(_.name == name).getOrElse(
@@ -95,26 +100,26 @@ object Workloads {
   def buildIndex(data: DataFrame, spec: CompositeAggregator): GridIndex =
     GridIndex.build(data, spec, IndexGranularity, IndexGranularity)
 
-  /** One full set-up: per dataset, `SynthData.pois` on the 2⁻¹⁰ lattice
-    * (cached, materialized by the fingerprint job), the query inputs, and
-    * one grid index per ASRS spec.
+  /** Set-up of the first `datasets` datasets of a run with `seed`. Each
+    * dataset's set-up is timed on its own: `SynthData.pois` on the 2⁻¹⁰
+    * lattice, cached and materialized by the fingerprint job (checked against
+    * `fingerprints.tsv`), the query inputs, and the grid index for the spec.
     */
-  def prepare(spark: SparkSession, w: Workload, seed: Long): Prepared = {
+  def prepare(spark: SparkSession, w: Workload, seed: Long, datasets: Int): Prepared = {
     import Solver._
-    val per = (0 until w.datasets).map { i =>
+    val per = (0 until datasets).map { i =>
+      val t0 = System.nanoTime()
       val data = SynthData.pois(spark, w.n, dataSeed(w, seed, i)).cache()
       val fp = fingerprint(data)
-      val specs = w.sizes.map { k =>
-        if (w.spec == "F1") (F1, f1Target(data, k * Q)) else f2(data, k * Q)
-      }
-      val indexes = specs.map(_._1).distinct.map(spec => spec -> buildIndex(data, spec)).toMap
-      val asrs = w.sizes.zip(specs).map { case (k, (spec, target)) =>
-        Query(s"d$i-${w.spec.toLowerCase}-${k}q", k, data, spec, target, indexes(spec), Seq(DS, GIDS, App, Base))
-      }
-      val maxrs = w.sizes.map(k => Query(s"d$i-maxrs-${k}q", k, data, null, null, null, Seq(MaxDS, OE)))
-      val inputs = asrs.map(q => q.id -> q.target.toSeq).toMap
-      (data, fp, asrs ++ maxrs, indexes.keys.toSeq.map(data -> _), inputs)
+      Fingerprints.check(w.n, dataSeed(w, seed, i), fp)
+      val k = w.sizes(i % w.sizes.size)
+      val (spec, target) = if (w.spec == "F1") (F1, f1Target(data, k * Q)) else f2(data, k * Q)
+      val index = buildIndex(data, spec)
+      val secs = (System.nanoTime() - t0) / 1e9
+      val asrs = Query(s"d$i-${w.spec.toLowerCase}-${k}q", k, data, spec, target, index, Seq(DS, GIDS, App, Base))
+      val maxrs = Query(s"d$i-maxrs-${k}q", k, data, null, null, null, Seq(MaxDS, OE))
+      (fp, if (i < w.maxrsDatasets) Seq(asrs, maxrs) else Seq(asrs), data -> spec, asrs.id -> target.toSeq, secs)
     }
-    Prepared(per.map(_._1), per.map(_._2), per.flatMap(_._3), per.flatMap(_._4), per.map(_._5))
+    Prepared(per.map(_._1), per.flatMap(_._2), per.map(_._3), per.map(_._4).toMap, per.map(_._5))
   }
 }
