@@ -8,8 +8,8 @@ import scala.collection.mutable
 /** One benchmark run: `--workload <name> --seed <n> --seconds <s> --trace <0|1>`.
   *
   * A closed loop with one client: set-up of every dataset (`setup_s` is the
-  * median over datasets), an untimed warm-up round, then timed calls, one
-  * at a time, until `--seconds` have passed. Every call is checked
+  * median over datasets), an untimed warm-up, then timed calls, one at a
+  * time, until `--seconds` have passed. Every call is checked
   * ([[Ops.check]]). With `--trace 1` the timed calls are replaced by
   * [[Traced]] rounds that time each layer from outside. The last stdout line
   * is the result object.
@@ -71,6 +71,23 @@ object Main {
     sys.exit(code)
   }
 
+  /** Untimed warm-up before the timed phase of a run. */
+  val WarmupSeconds = 20
+
+  /** Visit `queries` in turn until each has been visited once and `seconds`
+    * have passed; returns the ops and the number of visits.
+    */
+  def visitFor(queries: Seq[Query], seconds: Int, refs: mutable.Map[Query, Option[Double]]): (Seq[Op], Int) = {
+    val ops = mutable.ArrayBuffer.empty[Op]
+    val deadline = System.nanoTime() + seconds * 1000000000L
+    var i = 0
+    while (i < queries.size || System.nanoTime() < deadline) {
+      ops ++= Ops.visit(queries(i % queries.size), refs)
+      i += 1
+    }
+    (ops.toSeq, i)
+  }
+
   private def metric(v: Double, unit: String) = Map("value" -> v, "unit" -> unit)
 
   def timedRun(spark: SparkSession, w: Workload, o: Opts): (Map[String, Any], Map[String, Any]) = {
@@ -78,22 +95,16 @@ object Main {
     val t0 = System.nanoTime()
     val p = Workloads.prepare(spark, w, o.seed, w.datasets)
     val t1 = System.nanoTime()
-    // The untimed warm-up round calls every solver of every query once: it
-    // fixes each query's reference answer, and it gives the JIT time to
-    // settle (with a single warm-up call per solver, calls kept getting
-    // faster through the timed phase). The timed phase then visits the
-    // queries in turn, each visit calling every solver of the query once,
-    // until every query has been visited and `seconds` have passed.
+    // The untimed warm-up visits the queries in turn for `WarmupSeconds`, at
+    // least one round: the first visit to a query fixes its reference
+    // answer, and the JIT gets time to settle (after a single round, calls
+    // still got 5–15% faster between the first and second timed rounds).
+    // The timed phase then does the same for `seconds`. A visit calls every
+    // solver of the query once.
     val refs = mutable.Map.empty[Query, Option[Double]]
-    val warm = p.queries.flatMap(Ops.visit(_, refs))
+    val (warm, _) = visitFor(p.queries, WarmupSeconds, refs)
     val t2 = System.nanoTime()
-    val timed = mutable.ArrayBuffer.empty[Op]
-    val deadline = System.nanoTime() + o.seconds * 1000000000L
-    var i = 0
-    while (i < p.queries.size || System.nanoTime() < deadline) {
-      timed ++= Ops.visit(p.queries(i % p.queries.size), refs)
-      i += 1
-    }
+    val (timed, visits) = visitFor(p.queries, o.seconds, refs)
     val all = warm ++ timed
     val failed = all.count(!_.ok)
     def of(s: Solver) = timed.filter(_.solver == s).toSeq
@@ -123,7 +134,7 @@ object Main {
       "workload" -> w.name, "seed" -> o.seed, "trace" -> 0, "threads" -> spark.sparkContext.defaultParallelism,
       "fingerprints" -> p.fingerprints, "inputs" -> p.inputs, "setup_s" -> p.setupSecs,
       "call_ms" -> Solver.all.map(s => s.key -> of(s).map(o => math.round(o.ms))).toMap,
-      "rounds" -> i.toDouble / p.queries.size, "ops" -> all.size,
+      "rounds" -> visits.toDouble / p.queries.size, "ops" -> all.size,
       "phase_s" -> Map("start" -> started, "setup" -> (t1 - t0) / 1e9, "warmup" -> (t2 - t1) / 1e9,
                        "timed" -> (System.nanoTime() - t2) / 1e9))
     (Map("correct" -> (failed == 0), "attempted" -> all.size, "failed" -> failed, "metrics" -> metrics), meta)

@@ -37,15 +37,12 @@ final case class Prepared(fingerprints: Seq[Seq[String]], queries: Seq[Query],
                           inputs: Map[String, Seq[Double]], setupSecs: Seq[Double])
 
 /** A workload: `datasets` independent sets of `n` synthetic POIs. Dataset
-  * `i` is asked one ASRS query (the workload's spec) of size
-  * `sizes(i % sizes.size)·q`; the first `maxrsDatasets` are also asked a
-  * MaxRS query of that size. The cost of a GI-DS query varies severalfold
-  * with the data, so a run spreads its time over many datasets rather than
-  * over repeats of a few queries. MaxRS costs about the same on any of
-  * them, so fewer datasets suffice.
+  * `i` is asked one ASRS query (the workload's spec) and one MaxRS query,
+  * both of size `sizes(i % sizes.size)·q`. The cost of a GI-DS query varies
+  * severalfold with the data, so a run spreads its time over many datasets
+  * rather than over repeats of a few queries.
   */
-final case class Workload(name: String, n: Long, datasets: Int, maxrsDatasets: Int,
-                          sizes: Seq[Int], spec: String)
+final case class Workload(name: String, n: Long, datasets: Int, sizes: Seq[Int], spec: String)
 
 object Workloads {
 
@@ -58,8 +55,8 @@ object Workloads {
     Seq(DistAgg("dow", SynthData.DowDomain)), Array(0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5))
 
   val all: Seq[Workload] = Seq(
-    Workload("lattice-f1-1k-x16", 1000, 16, 8, Seq(16, 32, 64), "F1"),
-    Workload("lattice-f2-1k-x16", 1000, 16, 6, Seq(4, 6), "F2"))
+    Workload("lattice-f1-1k-x12", 1000, 12, Seq(16, 32, 64), "F1"),
+    Workload("lattice-f2-1k-x12", 1000, 12, Seq(4, 6), "F2"))
 
   def byName(name: String): Workload =
     all.find(_.name == name).getOrElse(
@@ -118,7 +115,7 @@ object Workloads {
       val secs = (System.nanoTime() - t0) / 1e9
       val asrs = Query(s"d$i-${w.spec.toLowerCase}-${k}q", k, data, spec, target, index, Seq(DS, GIDS, App, Base))
       val maxrs = Query(s"d$i-maxrs-${k}q", k, data, null, null, null, Seq(MaxDS, OE))
-      (fp, if (i < w.maxrsDatasets) Seq(asrs, maxrs) else Seq(asrs), data -> spec, asrs.id -> target.toSeq, secs)
+      (fp, Seq(asrs, maxrs), data -> spec, asrs.id -> target.toSeq, secs)
     }
     Prepared(per.map(_._1), per.flatMap(_._2), per.map(_._3), per.map(_._4).toMap, per.map(_._5))
   }
