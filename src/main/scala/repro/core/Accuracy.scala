@@ -14,6 +14,8 @@ object Accuracy {
   /** Distributed computation over the rectangle DataFrame: union the two edge
     * coordinate columns, `distinct`, and take the minimum adjacent-difference
     * under a window `lag` — the "window over geo-tagged partitions" path.
+    * No solver calls it: each takes ΔX/ΔY from its collected rectangles
+    * ([[ofLocal]], via [[PreparedQuery]]).
     */
   def of(rects: DataFrame): (Double, Double) = (minGap(rects, "xlo", "xhi"), minGap(rects, "ylo", "yhi"))
 

@@ -1,17 +1,18 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.lit
 import scala.collection.mutable
 
 /** Knobs of Algorithm 1. `ncol×nrow` is the discretization grid (paper §7.2
   * finds 30×30 best). Hybrid rule (DESIGN.md §2): a popped space is searched
-  * on the driver (rectangles collected once, subtree local) when it holds at
-  * most `localThreshold` rectangles or its depth reaches `sparkRootLevels`;
-  * above both, its statistics come from the distributed groupBy. The default
-  * distributes the root scans — the O(n) part — and recurses locally on the
-  * pruned sub-spaces, which hold a tiny fraction of n. `delta` is the (1+δ)
-  * approximation slack (§6, 0 = exact); `maxSpaces` is a runaway safeguard.
+  * on the driver (its subtree filtered from the query's collected rectangles)
+  * when it holds at most `localThreshold` rectangles or its depth reaches
+  * `sparkRootLevels`; above both, its statistics come from the distributed
+  * groupBy. The default distributes the root scan — the O(n) part — and
+  * recurses locally on the pruned sub-spaces, which hold a tiny fraction of
+  * n. `delta` is the (1+δ) approximation slack (§6, 0 = exact); `maxSpaces`
+  * is a runaway safeguard.
   */
 final case class SearchParams(
     ncol: Int = 30, nrow: Int = 30,
@@ -55,31 +56,33 @@ final class SearchState(val objective: Objective, val delta: Double) {
 final class DSSearch(
     spec: CompositeAggregator,
     objective: Objective,
-    rects: Option[DataFrame],
     params: SearchParams = SearchParams()) {
 
-  private final case class Entry(bound: Double, space: Box,
-                                 local: Option[(LocalRects, Array[Int])], depth: Int)
+  /** A space to search: `idxs` are the rectangles of the query's snapshot it
+    * is filtered from; `local` marks a subtree already on the driver.
+    */
+  private final case class Entry(bound: Double, space: Box, idxs: Array[Int],
+                                 depth: Int, local: Boolean)
 
   private val entryOrd: Ordering[Entry] =
     if (objective.isMin) Ordering.by((e: Entry) => -e.bound) else Ordering.by((e: Entry) => e.bound)
 
-  /** Search `space` (candidate bottom-left corners restricted to it) against
-    * the distributed rectangle set, updating `state`.
-    */
-  def run(state: SearchState, space: Box, dX: Double, dY: Double): Unit =
-    loop(state, dX, dY, Entry(initialBound, space, None, 0))
+  /** Search the query's whole space under the hybrid rule, updating `state`. */
+  def run(state: SearchState, q: PreparedQuery): Unit =
+    loop(state, q, Entry(initialBound, q.space, Array.range(0, q.n), 0, local = false))
 
-  /** Search with pre-collected rectangles (`idxs` of `lr` are the candidates
-    * overlapping `space`) — used by GI-DS per index cell.
+  /** Search `space` on the driver only (`idxs` of `q.local` are the
+    * candidates overlapping it) — used by GI-DS per index cell.
     */
-  def runLocal(state: SearchState, space: Box, dX: Double, dY: Double,
-               lr: LocalRects, idxs: Array[Int], bound: Double): Unit =
-    loop(state, dX, dY, Entry(bound, space, Some((lr, idxs)), 0))
+  def runLocal(state: SearchState, space: Box, q: PreparedQuery,
+               idxs: Array[Int], bound: Double): Unit =
+    loop(state, q, Entry(bound, space, idxs, 0, local = true))
 
   private def initialBound: Double = if (objective.isMin) 0.0 else Double.PositiveInfinity
 
-  private def loop(state: SearchState, dX: Double, dY: Double, init: Entry): Unit = {
+  private def loop(state: SearchState, q: PreparedQuery, init: Entry): Unit = {
+    val lr = q.local
+    val (dX, dY) = q.accuracy
     val heap = mutable.PriorityQueue(init)(entryOrd)
     while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
       if (state.stats.spacesProcessed >= params.maxSpaces) {
@@ -91,36 +94,27 @@ final class DSSearch(
         state.stats.spacesProcessed += 1
         if (e.space.width > 0 && e.space.height > 0) {
           val grid = Grid(e.space, params.ncol, params.nrow)
-          val (cells, localData) = e.local match {
-            case Some((lr, idxs)) =>
+          val here = filterIdxs(lr, e.idxs, e.space)
+          val goLocal = e.local || e.depth >= params.sparkRootLevels ||
+                        here.length <= params.localThreshold
+          val cells =
+            if (goLocal) {
               state.stats.localDiscretizations += 1
-              val here = filterIdxs(lr, idxs, e.space)
-              (Discretize.local(lr, here, grid, spec), Some((lr, here)))
-            case None =>
-              val df = rects.getOrElse(throw new IllegalStateException("no rectangle DataFrame"))
-              val overlapping = df.where(
-                col("xlo") < e.space.x1 && col("xhi") > e.space.x0 &&
-                col("ylo") < e.space.y1 && col("yhi") > e.space.y0)
-              val goLocal = e.depth >= params.sparkRootLevels ||
-                            overlapping.count() <= params.localThreshold
-              if (goLocal) {
-                state.stats.localDiscretizations += 1
-                val lr = LocalRects.collect(overlapping, spec)
-                val all = Array.range(0, lr.n)
-                (Discretize.local(lr, all, grid, spec), Some((lr, all)))
-              } else {
-                state.stats.sparkDiscretizations += 1
-                (Discretize.spark(df, grid, spec), None)
-              }
-          }
+              Discretize.local(lr, here, grid, spec)
+            } else {
+              state.stats.sparkDiscretizations += 1
+              Discretize.spark(q.rects, grid, spec)
+            }
           val dirty = harvest(grid, cells, state)
           val drop = 2 * grid.cw < dX && 2 * grid.ch < dY
           if (!drop && dirty.nonEmpty) {
+            // Below a distributed space, each child filters the whole snapshot.
+            val childIdxs = if (goLocal) here else e.idxs
             val children = SplitHeuristic.split(dirty, objective)
               .flatMap(SplitHeuristic.ensureProgress(_, e.space))
             children.foreach { c =>
               if (objective.better(c.bound, state.threshold))
-                heap.enqueue(Entry(c.bound, c.mbr, localData, e.depth + 1))
+                heap.enqueue(Entry(c.bound, c.mbr, childIdxs, e.depth + 1, goLocal))
             }
           }
         }
@@ -190,31 +184,18 @@ object DSSearch {
 
   def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
             objective: Objective, params: SearchParams = SearchParams()): Result = {
-    val rects = Rects.build(objects, a, b, spec).cache()
-    try {
-      val n = rects.count()
-      val state = new SearchState(objective, params.delta)
-      if (n == 0) return Result(0, 0, emptyScore(spec, objective), state.stats)
+    val q = PreparedQuery(objects, a, b, spec)
+    val state = new SearchState(objective, params.delta)
+    if (q.n == 0) return Result(0, 0, emptyScore(spec, objective), state.stats)
 
-      val bb = rects.agg(min("xlo"), min("ylo"), max("xhi"), max("yhi")).collect()(0)
-      val space = Box(bb.getDouble(0), bb.getDouble(1), bb.getDouble(2), bb.getDouble(3))
+    // Incumbent: the empty region, anchored strictly outside every rectangle.
+    state.offer(emptyScore(spec, objective), q.space.x1 + a, q.space.y1 + b)
 
-      // Incumbent: the empty region, anchored strictly outside every rectangle.
-      state.offer(emptyScore(spec, objective), space.x1 + a, space.y1 + b)
-
-      val ds = new DSSearch(spec, objective, Some(rects), params)
-      if (n <= params.localThreshold) {
-        val lr = LocalRects.collect(rects, spec)
-        val (dX, dY) = Accuracy.ofLocal(lr)
-        seedIncumbent(lr, spec, objective, state)
-        ds.runLocal(state, space, dX, dY, lr, Array.range(0, lr.n),
-                    if (objective.isMin) 0.0 else Double.PositiveInfinity)
-      } else {
-        val (dX, dY) = Accuracy.of(rects)
-        ds.run(state, space, dX, dY)
-      }
-      Result(state.bestX, state.bestY, state.bestScore, state.stats)
-    } finally rects.unpersist()
+    // Only the driver path seeds; seeding the distributed path as well is
+    // open (ROADMAP item 4) and would change its search.
+    if (q.n <= params.localThreshold) seedIncumbent(q.local, spec, objective, state)
+    new DSSearch(spec, objective, params).run(state, q)
+    Result(state.bestX, state.bestY, state.bestScore, state.stats)
   }
 
   def emptyScore(spec: CompositeAggregator, objective: Objective): Double =

@@ -30,68 +30,64 @@ object GIDS {
 
   def run(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
           objective: Objective, index: GridIndex, params: SearchParams): Result = {
-    val rects = Rects.build(objects, a, b, spec).cache()
-    try {
-      val lr = LocalRects.collect(rects, spec)
-      val (dX, dY) = Accuracy.ofLocal(lr)
-      val state = new SearchState(objective, params.delta)
-      val searchSpace = Rects.searchSpace(lr)
-      state.offer(DSSearch.emptyScore(spec, objective), searchSpace.x1 + a, searchSpace.y1 + b)
+    val q = PreparedQuery(objects, a, b, spec)
+    val lr = q.local
+    val state = new SearchState(objective, params.delta)
+    state.offer(DSSearch.emptyScore(spec, objective), q.space.x1 + a, q.space.y1 + b)
 
-      val ds = new DSSearch(spec, objective, None, params)
+    val ds = new DSSearch(spec, objective, params)
 
-      // Boundary strips: candidate corners left of / below the index space
-      // (their regions still overlap objects; the index cells cannot bound
-      // them). Thin, searched unconditionally.
-      val strips = Seq(
-        Box(index.space.x0 - a, index.space.y0 - b, index.space.x0, index.space.y1),
-        Box(index.space.x0, index.space.y0 - b, index.space.x1, index.space.y0))
-      strips.foreach { s =>
-        ds.runLocal(state, s, dX, dY, lr, lr.overlapping(s),
-                    if (objective.isMin) 0.0 else Double.PositiveInfinity)
-      }
+    // Boundary strips: candidate corners left of / below the index space
+    // (their regions still overlap objects; the index cells cannot bound
+    // them). Thin, searched unconditionally.
+    val strips = Seq(
+      Box(index.space.x0 - a, index.space.y0 - b, index.space.x0, index.space.y1),
+      Box(index.space.x0, index.space.y0 - b, index.space.x1, index.space.y0))
+    strips.foreach { s =>
+      ds.runLocal(state, s, q, lr.overlapping(s),
+                  if (objective.isMin) 0.0 else Double.PositiveInfinity)
+    }
 
-      // Bucket rectangles by the index cells they overlap (one pass).
-      val igrid = Grid(index.space, index.sx, index.sy)
-      val buckets = Array.fill(index.sx * index.sy)(new mutable.ArrayBuffer[Int](8))
-      var r = 0
-      while (r < lr.n) {
-        val (ciLo, ciHi) = igrid.colRange(lr.xlo(r), lr.xhi(r))
-        val (cjLo, cjHi) = igrid.rowRange(lr.ylo(r), lr.yhi(r))
-        var cj = cjLo
-        while (cj <= cjHi) {
-          var ci = ciLo
-          while (ci <= ciHi) { buckets(cj * index.sx + ci) += r; ci += 1 }
-          cj += 1
-        }
-        r += 1
-      }
-
-      // Lower bound every index cell, then search best-first (lines 2-7).
-      final case class CellEntry(bound: Double, ci: Int, cj: Int)
-      val ord: Ordering[CellEntry] =
-        if (objective.isMin) Ordering.by((e: CellEntry) => -e.bound)
-        else Ordering.by((e: CellEntry) => e.bound)
-      val heap = mutable.PriorityQueue.empty[CellEntry](ord)
-      var cj = 0
-      while (cj < index.sy) {
-        var ci = 0
-        while (ci < index.sx) {
-          val (lo, hi) = index.candidateBounds(ci, cj, a, b)
-          heap.enqueue(CellEntry(objective.bound(lo, hi), ci, cj))
-          ci += 1
-        }
+    // Bucket rectangles by the index cells they overlap (one pass).
+    val igrid = Grid(index.space, index.sx, index.sy)
+    val buckets = Array.fill(index.sx * index.sy)(new mutable.ArrayBuffer[Int](8))
+    var r = 0
+    while (r < lr.n) {
+      val (ciLo, ciHi) = igrid.colRange(lr.xlo(r), lr.xhi(r))
+      val (cjLo, cjHi) = igrid.rowRange(lr.ylo(r), lr.yhi(r))
+      var cj = cjLo
+      while (cj <= cjHi) {
+        var ci = ciLo
+        while (ci <= ciHi) { buckets(cj * index.sx + ci) += r; ci += 1 }
         cj += 1
       }
+      r += 1
+    }
 
-      var searched = 0
-      while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
-        val e = heap.dequeue()
-        searched += 1
-        ds.runLocal(state, index.cellBox(e.ci, e.cj), dX, dY,
-                    lr, buckets(e.cj * index.sx + e.ci).toArray, e.bound)
+    // Lower bound every index cell, then search best-first (lines 2-7).
+    final case class CellEntry(bound: Double, ci: Int, cj: Int)
+    val ord: Ordering[CellEntry] =
+      if (objective.isMin) Ordering.by((e: CellEntry) => -e.bound)
+      else Ordering.by((e: CellEntry) => e.bound)
+    val heap = mutable.PriorityQueue.empty[CellEntry](ord)
+    var cj = 0
+    while (cj < index.sy) {
+      var ci = 0
+      while (ci < index.sx) {
+        val (lo, hi) = index.candidateBounds(ci, cj, a, b)
+        heap.enqueue(CellEntry(objective.bound(lo, hi), ci, cj))
+        ci += 1
       }
-      Result(state.bestX, state.bestY, state.bestScore, searched, index.sx * index.sy, state.stats)
-    } finally rects.unpersist()
+      cj += 1
+    }
+
+    var searched = 0
+    while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
+      val e = heap.dequeue()
+      searched += 1
+      ds.runLocal(state, index.cellBox(e.ci, e.cj), q,
+                  buckets(e.cj * index.sx + e.ci).toArray, e.bound)
+    }
+    Result(state.bestX, state.bestY, state.bestScore, searched, index.sx * index.sy, state.stats)
   }
 }

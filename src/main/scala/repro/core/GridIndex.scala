@@ -127,6 +127,7 @@ object GridIndex {
   def build(objects: DataFrame, spec: CompositeAggregator, sx: Int, sy: Int): GridIndex = {
     val prepared = Agg.prepare(objects, spec)
     val bb = prepared.agg(min("x"), min("y"), max("x"), max("y")).collect()(0)
+    require(!bb.isNullAt(0), "GridIndex.build: no objects to index (empty input)")
     val space = Box(bb.getDouble(0), bb.getDouble(1),
                     math.max(bb.getDouble(2), bb.getDouble(0) + 1e-9),
                     math.max(bb.getDouble(3), bb.getDouble(1) + 1e-9))

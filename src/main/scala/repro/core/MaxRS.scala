@@ -88,8 +88,6 @@ object MaxRSOE {
   /** End-to-end MaxRS baseline over a DataFrame of objects. */
   def solveMaxRS(objects: DataFrame, a: Double, b: Double): Result = {
     val spec = CompositeAggregator.uniform(SumAgg("__one"))
-    val lr = LocalRects.collect(
-      Rects.build(objects.withColumn("__one", lit(1.0)), a, b, spec), spec)
-    solve(lr)
+    solve(PreparedQuery(objects.withColumn("__one", lit(1.0)), a, b, spec).local)
   }
 }

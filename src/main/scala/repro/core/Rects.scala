@@ -25,8 +25,7 @@ object Rects {
 
   /** The ASP search space: every point covered by at least one rectangle lies
     * in the union bounding box of the rectangles; everything outside has the
-    * empty representation. A tiny symmetric margin keeps boundary clean cells
-    * evaluable at their centers.
+    * empty representation.
     */
   def searchSpace(local: LocalRects): Box = {
     if (local.n == 0) return Box(0, 0, 1, 1)
@@ -39,6 +38,24 @@ object Rects {
       i += 1
     }
     Box(x0, y0, x1, y1)
+  }
+}
+
+/** One query's set-up, shared by every solver: the rectangle DataFrame, its
+  * driver-side snapshot (one collect, the query's only Spark job unless the
+  * search distributes a discretization), the ASP search space and ΔX/ΔY, all
+  * taken from the snapshot.
+  */
+final class PreparedQuery(val rects: DataFrame, val local: LocalRects) {
+  def n: Int = local.n
+  lazy val space: Box = Rects.searchSpace(local)
+  lazy val accuracy: (Double, Double) = Accuracy.ofLocal(local)
+}
+
+object PreparedQuery {
+  def apply(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator): PreparedQuery = {
+    val rects = Rects.build(objects, a, b, spec)
+    new PreparedQuery(rects, LocalRects.collect(rects, spec))
   }
 }
 

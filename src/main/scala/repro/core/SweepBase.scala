@@ -132,7 +132,6 @@ object SweepBase {
   /** End-to-end ASRS baseline over a DataFrame of objects. */
   def solveASRS(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
                 target: Array[Double]): Result = {
-    val lr = LocalRects.collect(Rects.build(objects, a, b, spec), spec)
-    solve(lr, spec, MinDistance(spec, target))
+    solve(PreparedQuery(objects, a, b, spec).local, spec, MinDistance(spec, target))
   }
 }

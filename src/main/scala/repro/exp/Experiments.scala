@@ -31,14 +31,13 @@ object Experiments {
 
   /** F2 = ((f_S, visits, γ_all), (f_A, rating, γ_all)); w = (1/v_max, 1/10);
     * target (v_max, 10). v_max = max total visits of any a×b region,
-    * computed exactly with the weighted OE sweep.
+    * computed exactly with the weighted OE sweep over rectangles that carry
+    * their own `visits` value (one collect, so weights and rectangles pair up).
     */
   def f2AndTarget(data: DataFrame, a: Double, b: Double): (CompositeAggregator, Array[Double]) = {
-    val spec0 = CompositeAggregator.uniform(SumAgg("__one"))
-    val lr = LocalRects.collect(
-      Rects.build(data.withColumn("__one", lit(1.0)), a, b, spec0), spec0)
-    val visits = data.select(col("visits").cast("long")).collect().map(_.getLong(0))
-    val vmax = math.max(1L, MaxRSOE.solveWeighted(lr, visits).count)
+    val visits = CompositeAggregator.uniform(SumAgg("visits"))
+    val lr = PreparedQuery(data, a, b, visits).local
+    val vmax = math.max(1L, MaxRSOE.solveWeighted(lr, lr.numVal(0).map(math.round)).count)
     val spec = CompositeAggregator(
       Seq(SumAgg("visits"), AvgAgg("rating")),
       Array(1.0 / vmax, 1.0 / 10))

@@ -19,15 +19,22 @@ class AccuracySpec extends SparkSpec {
     assert(math.abs(dy - 0.25) < 1e-12)
   }
 
-  for (seed <- 1 to 5) test(s"spark and local accuracies agree (seed $seed)") {
-    val data = TestGen.df(spark, 30, seed).cache()
+  /** Solvers take ΔX/ΔY from `ofLocal`; it must equal the window job's. */
+  private def agree(seed: Int, res: Double): Unit = {
+    val data = TestGen.df(spark, 30, seed, res).cache()
     val spec = TestGen.specs(0)
     val rects = Rects.build(data, 6 / 64.0, 9 / 64.0, spec).cache()
     val lr = LocalRects.collect(rects, spec)
-    val (sx, sy) = Accuracy.of(rects)
-    val (lx, ly) = Accuracy.ofLocal(lr)
-    assert(math.abs(sx - lx) < 1e-15 && math.abs(sy - ly) < 1e-15)
+    assert(Accuracy.of(rects) == Accuracy.ofLocal(lr))
     rects.unpersist()
+  }
+
+  for (seed <- 1 to 5) test(s"spark and local accuracies agree (seed $seed)") {
+    agree(seed, 1.0 / 64)
+  }
+
+  for (seed <- 1 to 3) test(s"spark and local accuracies agree off the lattice (seed $seed)") {
+    agree(seed, 1e-9)
   }
 
   test("lattice data with lattice-multiple query size has lattice accuracy") {

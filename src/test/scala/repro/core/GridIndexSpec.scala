@@ -73,6 +73,12 @@ class GridIndexSpec extends SparkSpec {
     assert(s2 > 3 * s1 && s2 < 5 * s1, s"$s1 -> $s2")
   }
 
+  test("index build on empty input fails fast with a clear message") {
+    val empty = TestGen.df(spark, 5, 1).where("x > 2")
+    val e = intercept[IllegalArgumentException](GridIndex.build(empty, TestGen.specs(0), 4, 4))
+    assert(e.getMessage.contains("no objects"), e.getMessage)
+  }
+
   test("index handles all-same-location data") {
     import spark.implicits._
     val data = Seq.fill(5)((0.5, 0.5, "A", 1.0, 1.0)).toDF("x", "y", "cat", "v", "w")
