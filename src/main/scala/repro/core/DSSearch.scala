@@ -191,8 +191,8 @@ object DSSearch {
     // Incumbent: the empty region, anchored strictly outside every rectangle.
     state.offer(emptyScore(spec, objective), q.space.x1 + a, q.space.y1 + b)
 
-    // Only the driver path seeds; seeding the distributed path as well is
-    // open (ROADMAP item 4) and would change its search.
+    // Only the driver path seeds the incumbent: seeding the distributed path
+    // as well would change its search.
     if (q.n <= params.localThreshold) seedIncumbent(q.local, spec, objective, state)
     new DSSearch(spec, objective, params).run(state, q)
     Result(state.bestX, state.bestY, state.bestScore, state.stats)
