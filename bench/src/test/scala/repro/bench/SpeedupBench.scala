@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.SearchParams
 import repro.exp.Experiments
 
 /** Headline runtime claims behind Figs 8/10 (DS-Search vs the O(n²) sweep
@@ -56,9 +55,7 @@ class SpeedupBench extends SparkSpec {
     val ns = sys.env.getOrElse("BENCH_MR_NS", "200000,500000,1000000")
       .split(",").map(_.trim.toLong).toSeq
     Experiments.warmup(spark)
-    // Driver-local DS subtree for an apples-to-apples driver-vs-driver race.
-    val rows = Experiments.maxrs(spark, ns, k = 10,
-      SearchParams(localThreshold = Long.MaxValue))
+    val rows = Experiments.maxrs(spark, ns, k = 10)
 
     println(Experiments.render(
       "DS-MaxRS vs OE — runtime vs cardinality (10q)",

@@ -1,7 +1,6 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.SearchParams
 import repro.exp.Experiments
 
 /** Shared session bootstrap for spark-submit entrypoints. */
@@ -70,8 +69,7 @@ object MaxRSJob {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("asrs-maxrs")
     val ns = Jobs.argLongs(args, 0, Seq(200000, 500000, 1000000))
-    val rows = Experiments.maxrs(spark, ns, k = 10,
-      SearchParams(localThreshold = Long.MaxValue))
+    val rows = Experiments.maxrs(spark, ns, k = 10)
     println(Experiments.render(
       "DS-MaxRS vs OE (10q)",
       Seq("n", "oeMs", "dsMs", "oe/ds", "count", "agreed"),

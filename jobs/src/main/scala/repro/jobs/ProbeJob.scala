@@ -14,8 +14,7 @@ object ProbeJob {
     val data = SynthData.pois(spark, n).cache()
     data.count()
     val a = 10 * Experiments.unit(); val b = a
-    val (res, ms) = Experiments.timeMs(
-      DSSearch.solveMaxRS(data, a, b, SearchParams(localThreshold = Long.MaxValue)))
+    val (res, ms) = Experiments.timeMs(DSSearch.solveMaxRS(data, a, b))
     println(s"n=$n count=${res.score} ms=$ms stats=${res.stats}")
     val (oe, oeMs) = Experiments.timeMs(MaxRSOE.solveMaxRS(data, a, b))
     println(s"OE count=${oe.count} ms=$oeMs")

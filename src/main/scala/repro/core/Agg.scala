@@ -142,7 +142,7 @@ object Agg {
       col("y") > region.y0 && col("y") < region.y1)
     val row = prepared.agg(rawStatExprs(spec, lit(true)).head,
                            rawStatExprs(spec, lit(true)).tail: _*).collect()(0)
-    val stats = CellStats.parseRow(row, spec, 0)
+    val stats = CellStats.parseRow(row, spec)
     CellStats.exactVec(spec, stats)
   }
 }

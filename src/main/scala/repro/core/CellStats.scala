@@ -39,7 +39,7 @@ object CellStats {
     }.toArray)
 
   /** Parse the columns produced by [[Agg.rawStatExprs]] out of a Row. */
-  def parseRow(row: Row, spec: CompositeAggregator, unused: Int): Array[AggStat] =
+  def parseRow(row: Row, spec: CompositeAggregator): Array[AggStat] =
     spec.aggs.zipWithIndex.map { case (a, i) =>
       def L(n: String): Long   = row.getAs[Long](n)
       def D(n: String): Double = row.getAs[Double](n)

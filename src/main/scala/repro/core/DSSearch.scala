@@ -5,31 +5,35 @@ import org.apache.spark.sql.functions.lit
 import scala.collection.mutable
 
 /** Knobs of Algorithm 1. `ncol×nrow` is the discretization grid (paper §7.2
-  * finds 30×30 best). Hybrid rule (DESIGN.md §2): a popped space is searched
-  * on the driver (its subtree filtered from the query's collected rectangles)
-  * when it holds at most `localThreshold` rectangles or its depth reaches
-  * `sparkRootLevels`; above both, its statistics come from the distributed
-  * groupBy. The default distributes the root scan — the O(n) part — and
-  * recurses locally on the pruned sub-spaces, which hold a tiny fraction of
-  * n. `delta` is the (1+δ) approximation slack (§6, 0 = exact); `maxSpaces`
-  * is a runaway safeguard.
+  * finds 30×30 best). `delta` is the (1+δ) approximation slack (§6, 0 =
+  * exact); `maxSpaces` is a runaway safeguard. Every popped space is
+  * discretized on the driver over the query's collected rectangles
+  * (DESIGN.md §2).
   */
 final case class SearchParams(
     ncol: Int = 30, nrow: Int = 30,
-    localThreshold: Long = 4000,
-    sparkRootLevels: Int = 1,
     delta: Double = 0.0,
-    maxSpaces: Int = 2_000_000)
+    maxSpaces: Int = 2_000_000) {
+
+  /** Always `Long.MaxValue`: kept only for perfbench's traced run, until the
+    * next change to the benchmark drops its read.
+    */
+  def localThreshold: Long = Long.MaxValue
+}
 
 final class SearchStats {
-  var sparkDiscretizations = 0
   var localDiscretizations = 0
   var spacesProcessed = 0
   var cellsEvaluated = 0L
   var truncated = false // maxSpaces safeguard fired (never in a healthy run)
 
+  /** Always 0: kept only for perfbench's traced run, until the next change to
+    * the benchmark drops its read.
+    */
+  def sparkDiscretizations: Int = 0
+
   override def toString =
-    s"spaces=$spacesProcessed sparkJobs=$sparkDiscretizations local=$localDiscretizations cells=$cellsEvaluated"
+    s"spaces=$spacesProcessed local=$localDiscretizations cells=$cellsEvaluated"
 }
 
 /** Mutable incumbent shared across DS-Search invocations (GI-DS reuses one
@@ -58,32 +62,24 @@ final class DSSearch(
     objective: Objective,
     params: SearchParams = SearchParams()) {
 
-  /** A space to search: `idxs` are the rectangles of the query's snapshot it
-    * is filtered from; `local` marks a subtree already on the driver.
+  /** A space to search: `idxs` are rectangles of the query's snapshot, a
+    * superset of those overlapping it.
     */
-  private final case class Entry(bound: Double, space: Box, idxs: Array[Int],
-                                 depth: Int, local: Boolean)
+  private final case class Entry(bound: Double, space: Box, idxs: Array[Int])
 
   private val entryOrd: Ordering[Entry] =
     if (objective.isMin) Ordering.by((e: Entry) => -e.bound) else Ordering.by((e: Entry) => e.bound)
 
-  /** Search the query's whole space under the hybrid rule, updating `state`. */
-  def run(state: SearchState, q: PreparedQuery): Unit =
-    loop(state, q, Entry(initialBound, q.space, Array.range(0, q.n), 0, local = false))
-
-  /** Search `space` on the driver only (`idxs` of `q.local` are the
-    * candidates overlapping it) — used by GI-DS per index cell.
+  /** Search `space` on the driver, updating `state`: `idxs` of `q.local`
+    * include every rectangle overlapping it, and no point in it scores better
+    * than `bound`. DS-Search passes the whole space; GI-DS one index cell or
+    * boundary strip at a time.
     */
-  def runLocal(state: SearchState, space: Box, q: PreparedQuery,
-               idxs: Array[Int], bound: Double): Unit =
-    loop(state, q, Entry(bound, space, idxs, 0, local = true))
-
-  private def initialBound: Double = if (objective.isMin) 0.0 else Double.PositiveInfinity
-
-  private def loop(state: SearchState, q: PreparedQuery, init: Entry): Unit = {
+  def run(state: SearchState, q: PreparedQuery, space: Box,
+          idxs: Array[Int], bound: Double): Unit = {
     val lr = q.local
     val (dX, dY) = q.accuracy
-    val heap = mutable.PriorityQueue(init)(entryOrd)
+    val heap = mutable.PriorityQueue(Entry(bound, space, idxs))(entryOrd)
     while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
       if (state.stats.spacesProcessed >= params.maxSpaces) {
         state.stats.truncated = true
@@ -95,26 +91,15 @@ final class DSSearch(
         if (e.space.width > 0 && e.space.height > 0) {
           val grid = Grid(e.space, params.ncol, params.nrow)
           val here = filterIdxs(lr, e.idxs, e.space)
-          val goLocal = e.local || e.depth >= params.sparkRootLevels ||
-                        here.length <= params.localThreshold
-          val cells =
-            if (goLocal) {
-              state.stats.localDiscretizations += 1
-              Discretize.local(lr, here, grid, spec)
-            } else {
-              state.stats.sparkDiscretizations += 1
-              Discretize.spark(q.rects, grid, spec)
-            }
-          val dirty = harvest(grid, cells, state)
+          state.stats.localDiscretizations += 1
+          val dirty = harvest(grid, Discretize.local(lr, here, grid, spec), state)
           val drop = 2 * grid.cw < dX && 2 * grid.ch < dY
           if (!drop && dirty.nonEmpty) {
-            // Below a distributed space, each child filters the whole snapshot.
-            val childIdxs = if (goLocal) here else e.idxs
             val children = SplitHeuristic.split(dirty, objective)
               .flatMap(SplitHeuristic.ensureProgress(_, e.space))
             children.foreach { c =>
               if (objective.better(c.bound, state.threshold))
-                heap.enqueue(Entry(c.bound, c.mbr, childIdxs, e.depth + 1, goLocal))
+                heap.enqueue(Entry(c.bound, c.mbr, here))
             }
           }
         }
@@ -169,7 +154,8 @@ object DSSearch {
 
   /** End-to-end ASRS solve (Algorithm 1): reduce, compute accuracies, seed
     * the incumbent with the empty region (a point outside every rectangle —
-    * the optimum may well be an object-free region), then search.
+    * the optimum may well be an object-free region) and a sample of
+    * rectangle centers, then search.
     */
   def solveASRS(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
                 target: Array[Double], params: SearchParams = SearchParams()): Result =
@@ -191,12 +177,15 @@ object DSSearch {
     // Incumbent: the empty region, anchored strictly outside every rectangle.
     state.offer(emptyScore(spec, objective), q.space.x1 + a, q.space.y1 + b)
 
-    // Only the driver path seeds the incumbent: seeding the distributed path
-    // as well would change its search.
-    if (q.n <= params.localThreshold) seedIncumbent(q.local, spec, objective, state)
-    new DSSearch(spec, objective, params).run(state, q)
+    seedIncumbent(q.local, spec, objective, state)
+    new DSSearch(spec, objective, params)
+      .run(state, q, q.space, Array.range(0, q.n), initialBound(objective))
     Result(state.bestX, state.bestY, state.bestScore, state.stats)
   }
+
+  /** A bound no score can beat: where a search starts with nothing known. */
+  def initialBound(objective: Objective): Double =
+    if (objective.isMin) 0.0 else Double.PositiveInfinity
 
   def emptyScore(spec: CompositeAggregator, objective: Objective): Double =
     objective.score(CellStats.exactVec(spec, CellStats.empty(spec, 0, 0).stats))

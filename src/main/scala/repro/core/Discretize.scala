@@ -8,11 +8,12 @@ import org.apache.spark.sql.functions._
   * contribution) and partially-covering (dirty bound) rectangle sets.
   *
   * Two equivalent paths (asserted identical in tests):
+  *   - [[local]]: the accumulation over a query's collected [[LocalRects]];
+  *     DS-Search discretizes every space with it (DESIGN.md §2).
   *   - [[spark]]: each rectangle is exploded to the cell indices it covers
   *     and one `groupBy(ci, cj)` with conditional aggregates computes all
-  *     statistics — the distributed scan that dominates DS-Search's O(Ω·n).
-  *   - [[local]]: the same accumulation over a collected [[LocalRects]], used
-  *     once a sub-space holds few rectangles (DESIGN.md §2, hybrid rule).
+  *     statistics. No solver calls it: it stays as the distributed twin the
+  *     tests compare [[local]] against and perfbench's traced run times.
   *
   * Cells covered by no rectangle are absent from the output; callers treat
   * them as empty clean cells ([[CellStats.empty]]).
@@ -59,7 +60,7 @@ object Discretize {
       .collect()
       .map { row =>
         CellRaw(row.getAs[Int]("ci"), row.getAs[Int]("cj"),
-                row.getAs[Long]("npartial"), CellStats.parseRow(row, spec, 0))
+                row.getAs[Long]("npartial"), CellStats.parseRow(row, spec))
       }
   }
 

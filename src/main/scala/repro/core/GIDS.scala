@@ -30,6 +30,9 @@ object GIDS {
 
   def run(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
           objective: Objective, index: GridIndex, params: SearchParams): Result = {
+    require(index.spec.aggs == spec.aggs,
+      s"the index was built for aggregators ${index.spec.aggs.mkString(", ")}, " +
+      s"not the query's ${spec.aggs.mkString(", ")}")
     val q = PreparedQuery(objects, a, b, spec)
     val lr = q.local
     val state = new SearchState(objective, params.delta)
@@ -43,10 +46,7 @@ object GIDS {
     val strips = Seq(
       Box(index.space.x0 - a, index.space.y0 - b, index.space.x0, index.space.y1),
       Box(index.space.x0, index.space.y0 - b, index.space.x1, index.space.y0))
-    strips.foreach { s =>
-      ds.runLocal(state, s, q, lr.overlapping(s),
-                  if (objective.isMin) 0.0 else Double.PositiveInfinity)
-    }
+    strips.foreach(s => ds.run(state, q, s, lr.overlapping(s), DSSearch.initialBound(objective)))
 
     // Bucket rectangles by the index cells they overlap (one pass).
     val igrid = Grid(index.space, index.sx, index.sy)
@@ -85,8 +85,8 @@ object GIDS {
     while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
       val e = heap.dequeue()
       searched += 1
-      ds.runLocal(state, index.cellBox(e.ci, e.cj), q,
-                  buckets(e.cj * index.sx + e.ci).toArray, e.bound)
+      ds.run(state, q, index.cellBox(e.ci, e.cj),
+             buckets(e.cj * index.sx + e.ci).toArray, e.bound)
     }
     Result(state.bestX, state.bestY, state.bestScore, searched, index.sx * index.sy, state.stats)
   }

@@ -41,22 +41,19 @@ object Rects {
   }
 }
 
-/** One query's set-up, shared by every solver: the rectangle DataFrame, its
-  * driver-side snapshot (one collect, the query's only Spark job unless the
-  * search distributes a discretization), the ASP search space and ΔX/ΔY, all
-  * taken from the snapshot.
+/** One query's set-up, shared by every solver: the driver-side snapshot of
+  * its rectangles (one collect, the query's only Spark job), the ASP search
+  * space and ΔX/ΔY, both taken from the snapshot.
   */
-final class PreparedQuery(val rects: DataFrame, val local: LocalRects) {
+final class PreparedQuery(val local: LocalRects) {
   def n: Int = local.n
   lazy val space: Box = Rects.searchSpace(local)
   lazy val accuracy: (Double, Double) = Accuracy.ofLocal(local)
 }
 
 object PreparedQuery {
-  def apply(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator): PreparedQuery = {
-    val rects = Rects.build(objects, a, b, spec)
-    new PreparedQuery(rects, LocalRects.collect(rects, spec))
-  }
+  def apply(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator): PreparedQuery =
+    new PreparedQuery(LocalRects.collect(Rects.build(objects, a, b, spec), spec))
 }
 
 /** Struct-of-arrays snapshot of rectangles for the driver-local discretizer.

@@ -55,9 +55,4 @@ class SynthDataSpec extends SparkSpec {
     // uniform would give 2/7 ≈ 0.286; weekend-heavy clusters push it higher
     assert(weekend > 0.30, s"weekend share $weekend")
   }
-
-  test("TPC-H-lite generators still work (provided substrate)") {
-    assert(SynthData.lineitem(spark, sf = 0.001).count() > 0)
-    assert(SynthData.orders(spark, sf = 0.001).columns.contains("o_orderdate"))
-  }
 }

@@ -5,7 +5,7 @@ import scala.util.Random
 
 /** DS-Search (Algorithm 1) returns the exact optimum (Lemma 7): compared
   * against brute-force enumeration of all disjoint regions across sizes,
-  * aggregators, weights, and both discretization paths.
+  * aggregators, weights and grid granularities.
   */
 class DSSearchSpec extends SparkSpec {
 
@@ -26,29 +26,17 @@ class DSSearchSpec extends SparkSpec {
     data.unpersist()
   }
 
-  // Local-path exactness across all aggregator shapes.
+  // Exactness across all aggregator shapes.
   for (seed <- 1 to 5; specIdx <- TestGen.specs.indices)
     test(s"exact vs brute, local path (seed $seed, spec $specIdx)") {
-      check(seed, specIdx, n = 30, SearchParams(localThreshold = 1000))
-    }
-
-  // Spark discretization path (threshold 0 forces groupBy jobs at the top).
-  for (seed <- 1 to 3)
-    test(s"exact vs brute, spark path (seed $seed)") {
-      check(seed, specIdx = 3, n = 25, SearchParams(localThreshold = 0, sparkRootLevels = 99, maxSpaces = 50000))
-    }
-
-  // Mid-threshold: spark at the top, local subtrees below.
-  for (seed <- 4 to 6)
-    test(s"exact vs brute, hybrid path (seed $seed)") {
-      check(seed, specIdx = 4, n = 30, SearchParams(localThreshold = 15))
+      check(seed, specIdx, n = 30, SearchParams())
     }
 
   // Different grid granularities must not change the answer.
   for (g <- Seq(5, 12, 40))
     test(s"exact under ${g}x$g discretization grid") {
       check(seed = 11, specIdx = 3, n = 28,
-            SearchParams(ncol = g, nrow = g, localThreshold = 1000))
+            SearchParams(ncol = g, nrow = g))
     }
 
   test("empty dataset returns the empty representation") {
@@ -61,8 +49,7 @@ class DSSearchSpec extends SparkSpec {
   test("target equal to the empty representation finds distance 0") {
     val data = TestGen.df(spark, 20, 9).cache()
     val spec = TestGen.specs(0)
-    val r = DSSearch.solveASRS(data, 4 / 64.0, 4 / 64.0, spec, Array(0.0, 0, 0),
-                               SearchParams(localThreshold = 1000))
+    val r = DSSearch.solveASRS(data, 4 / 64.0, 4 / 64.0, spec, Array(0.0, 0, 0))
     assert(r.score == 0.0)
     val lr = TestGen.localRects(data, 4 / 64.0, 4 / 64.0, spec)
     assert(BruteForce.evalPoint(lr, spec, r.x, r.y).forall(_ == 0.0))
@@ -72,8 +59,7 @@ class DSSearchSpec extends SparkSpec {
     import spark.implicits._
     val data = Seq((0.5, 0.5, "B", 3.0, 1.0)).toDF("x", "y", "cat", "v", "w")
     val spec = TestGen.specs(0)
-    val r = DSSearch.solveASRS(data, 0.125, 0.125, spec, Array(0.0, 1.0, 0.0),
-                               SearchParams(localThreshold = 100))
+    val r = DSSearch.solveASRS(data, 0.125, 0.125, spec, Array(0.0, 1.0, 0.0))
     assert(r.score == 0.0)
     assert(r.region(0.125, 0.125).coversOpen(0.5, 0.5))
   }
@@ -87,7 +73,7 @@ class DSSearchSpec extends SparkSpec {
     val lr = TestGen.localRects(data, 0.2, 0.2, spec)
     val target = Array(2.0, 0.0, 0.0)
     val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
-    val ds = DSSearch.solveASRS(data, 0.2, 0.2, spec, target, SearchParams(localThreshold = 100))
+    val ds = DSSearch.solveASRS(data, 0.2, 0.2, spec, target)
     assert(math.abs(ds.score - brute.score) < 1e-9)
     assert(ds.score == 0.0)
   }
@@ -96,14 +82,14 @@ class DSSearchSpec extends SparkSpec {
     val data = TestGen.df(spark, 40, 13).cache()
     val spec = TestGen.specs(3)
     val t = TestGen.target(spark, data, spec, 0.1, 0.1, 13)
-    val r = DSSearch.solveASRS(data, 0.1, 0.1, spec, t, SearchParams(localThreshold = 1000))
+    val r = DSSearch.solveASRS(data, 0.1, 0.1, spec, t)
     // Incumbent seeding may solve the instance outright (threshold 0 ⇒ no
     // spaces popped); when spaces are processed, cells must have been too.
     assert(r.stats.spacesProcessed == 0 || r.stats.cellsEvaluated > 0)
     assert(!r.stats.truncated)
     // an impossible target forces actual discretization work
     val far = Array.fill(spec.dim)(1e6)
-    val r2 = DSSearch.solveASRS(data, 0.1, 0.1, spec, far, SearchParams(localThreshold = 1000))
+    val r2 = DSSearch.solveASRS(data, 0.1, 0.1, spec, far)
     assert(r2.stats.spacesProcessed > 0 && r2.stats.cellsEvaluated > 0)
   }
 }

@@ -68,4 +68,22 @@ class GIDSSpec extends SparkSpec {
     val rCoarse = GIDS.solve(data, a, b, spec, target, coarse)
     assert(math.abs(rFine.score - rCoarse.score) < 1e-9) // granularity never changes the answer
   }
+
+  test("an index built for other aggregators is rejected; other weights are not") {
+    val data = TestGen.df(spark, 30, 23).cache()
+    val (a, b) = (8 / 64.0, 8 / 64.0)
+    val idx = GridIndex.build(data, TestGen.specs(3), 4, 4)
+    val sumOnly = TestGen.specs(2)
+    val e = intercept[IllegalArgumentException](
+      GIDS.solve(data, a, b, sumOnly, TestGen.target(spark, data, sumOnly, a, b, 23), idx))
+    assert(e.getMessage.contains("index was built for"), e.getMessage)
+
+    val reweighted = CompositeAggregator(TestGen.specs(3).aggs, Array(2.0, 1, 1, 0.5, 0.25))
+    val target = TestGen.target(spark, data, reweighted, a, b, 23)
+    val lr = TestGen.localRects(data, a, b, reweighted)
+    val brute = BruteForce.solve(lr, reweighted, MinDistance(reweighted, target))
+    val res = GIDS.solve(data, a, b, reweighted, target, idx)
+    assert(math.abs(res.score - brute.score) < 1e-9, s"GIDS ${res.score} vs brute ${brute.score}")
+    data.unpersist()
+  }
 }

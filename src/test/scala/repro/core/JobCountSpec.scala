@@ -5,12 +5,12 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.repro.ListenerDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
-import repro.SparkSpec
+import repro.{SparkSpec, SynthData}
+import repro.exp.Experiments
 import scala.jdk.CollectionConverters._
 
 /** Spark jobs per solver call: every query is set up by one collect of its
-  * rectangles; above `localThreshold` DS-Search adds only the distributed
-  * root discretization.
+  * rectangles, and every solver searches on the driver.
   */
 class JobCountSpec extends SparkSpec {
 
@@ -57,23 +57,22 @@ class JobCountSpec extends SparkSpec {
     data.unpersist()
   }
 
-  for (seed <- 4 to 6) test(s"hybrid path: one collect plus the root discretization (seed $seed)") {
-    val data = TestGen.df(spark, 30, seed).cache()
+  test("DS-Search and DS-MaxRS run one Spark job and no window at n = 5,000 (F1, 10q)") {
+    val data = SynthData.pois(spark, 5000, seed = 3).cache()
     data.count()
-    val spec = TestGen.specs(3)
-    val (a, b) = (12 / 64.0, 10 / 64.0)
-    // 3 objects of each category, mean v 5, total w 4: never the empty region.
-    val target = Array(3.0, 3, 3, 5, 4)
-    val q = PreparedQuery(data, a, b, spec)
-    val (_, rootJobs, _) = traced(Discretize.spark(q.rects, Grid(q.space, 30, 30), spec))
+    val spec = Experiments.F1
+    val a = 10 * Experiments.unit()
+    val target = Experiments.f1Target(data, a, a)
+    val (ds, dsJobs, dsPlans) = traced(DSSearch.solveASRS(data, a, a, spec, target))
+    val (maxrs, maxrsJobs, maxrsPlans) = traced(DSSearch.solveMaxRS(data, a, a))
+    assert(dsJobs == 1, s"DSSearch.solveASRS ran $dsJobs Spark jobs")
+    assert(maxrsJobs == 1, s"DSSearch.solveMaxRS ran $maxrsJobs Spark jobs")
+    assert(!(dsPlans ++ maxrsPlans).exists(_.contains("Window")), "a solver ran a window job")
 
-    val (hybrid, jobs, plans) =
-      traced(DSSearch.solveASRS(data, a, b, spec, target, SearchParams(localThreshold = 15)))
-    val local = DSSearch.solveASRS(data, a, b, spec, target, SearchParams(localThreshold = 1000))
-    assert(hybrid.stats.sparkDiscretizations == 1, hybrid.stats.toString)
-    assert(jobs == 1 + rootJobs, s"$jobs jobs; the root discretization alone runs $rootJobs")
-    assert(!plans.exists(_.contains("Window")), "the search ran a window job (Accuracy.of)")
-    assert(math.abs(hybrid.score - local.score) < 1e-9, s"hybrid ${hybrid.score} vs local ${local.score}")
+    val base = SweepBase.solve(TestGen.localRects(data, a, a, spec), spec, MinDistance(spec, target))
+    assert(math.abs(ds.score - base.score) <= 1e-9 * math.max(1.0, math.abs(base.score)),
+      s"DS-Search ${ds.score} vs Base ${base.score}")
+    assert(maxrs.score == MaxRSOE.solveMaxRS(data, a, a).count.toDouble)
     data.unpersist()
   }
 }

@@ -20,7 +20,7 @@ class MaxRSSpec extends SparkSpec {
     val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
     val lr = rectsOf(data, a, b)
     val brute = BruteForce.solve(lr, spec, MaxCount())
-    val ds = DSSearch.solveMaxRS(data, a, b, SearchParams(localThreshold = 1000))
+    val ds = DSSearch.solveMaxRS(data, a, b)
     val oe = MaxRSOE.solve(lr)
     assert(ds.score == brute.score, s"DS ${ds.score} vs brute ${brute.score}")
     assert(oe.count.toDouble == brute.score, s"OE ${oe.count} vs brute ${brute.score}")
@@ -33,7 +33,7 @@ class MaxRSSpec extends SparkSpec {
   test("all objects in one spot: count equals multiplicity") {
     import spark.implicits._
     val data = Seq.fill(7)((0.5, 0.5, "A", 1.0, 1.0)).toDF("x", "y", "cat", "v", "w")
-    assert(DSSearch.solveMaxRS(data, 0.1, 0.1, SearchParams(localThreshold = 100)).score == 7.0)
+    assert(DSSearch.solveMaxRS(data, 0.1, 0.1).score == 7.0)
     assert(MaxRSOE.solveMaxRS(data, 0.1, 0.1).count == 7L)
   }
 
@@ -41,7 +41,7 @@ class MaxRSSpec extends SparkSpec {
     import spark.implicits._
     val data = Seq((0.1, 0.1, "A", 1.0, 1.0), (0.5, 0.5, "B", 1.0, 1.0),
                    (0.9, 0.9, "C", 1.0, 1.0)).toDF("x", "y", "cat", "v", "w")
-    assert(DSSearch.solveMaxRS(data, 0.01, 0.01, SearchParams(localThreshold = 100)).score == 1.0)
+    assert(DSSearch.solveMaxRS(data, 0.01, 0.01).score == 1.0)
     assert(MaxRSOE.solveMaxRS(data, 0.01, 0.01).count == 1L)
   }
 
@@ -49,14 +49,5 @@ class MaxRSSpec extends SparkSpec {
     val data = TestGen.df(spark, 1, 1).where("x > 5")
     assert(MaxRSOE.solveMaxRS(data, 0.1, 0.1).count == 0L)
     assert(DSSearch.solveMaxRS(data, 0.1, 0.1).score == 0.0)
-  }
-
-  for (seed <- 20 to 22) test(s"MaxRS via spark discretization path (seed $seed)") {
-    val data = TestGen.df(spark, 25, seed).cache()
-    val lr = rectsOf(data, 0.15, 0.15)
-    val brute = BruteForce.solve(lr, spec, MaxCount())
-    val ds = DSSearch.solveMaxRS(data, 0.15, 0.15,
-                                 SearchParams(localThreshold = 0, sparkRootLevels = 99, maxSpaces = 50000))
-    assert(ds.score == brute.score)
   }
 }

@@ -13,8 +13,7 @@ class SmokeSpec extends SparkSpec {
 
     val lr = TestGen.localRects(data, a, b, spec)
     val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
-    val ds = DSSearch.solveASRS(data, a, b, spec, target,
-                                SearchParams(localThreshold = 1000))
+    val ds = DSSearch.solveASRS(data, a, b, spec, target)
     val sweep = SweepBase.solve(lr, spec, MinDistance(spec, target))
     val index = GridIndex.build(data, spec, 4, 4)
     val gids = GIDS.solve(data, a, b, spec, target, index)
@@ -33,7 +32,7 @@ class SmokeSpec extends SparkSpec {
     val lr = LocalRects.collect(
       Rects.build(data.withColumn("__one", lit(1.0)), a, b, spec), spec)
     val brute = BruteForce.solve(lr, spec, MaxCount())
-    val ds = DSSearch.solveMaxRS(data, a, b, SearchParams(localThreshold = 1000))
+    val ds = DSSearch.solveMaxRS(data, a, b)
     val oe = MaxRSOE.solve(lr)
     info(s"brute=${brute.score} ds=${ds.score} oe=${oe.count}")
     assert(ds.score == brute.score)
