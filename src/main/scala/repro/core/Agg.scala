@@ -95,10 +95,10 @@ object Agg {
       }
     }
 
-  /** Aggregate expressions producing the raw per-group statistics consumed by
-    * [[CellStats]]. `full` is the condition marking rows counted as "fully
-    * covering"; rows failing it are "partially covering". For exact
-    * representations pass `lit(true)` (everything full, no partials).
+  /** Aggregate expressions producing the raw per-group statistics of a
+    * [[CellStats]] slot, in its layout order. `full` is the condition
+    * marking rows counted as "fully covering"; rows failing it are
+    * "partially covering".
     */
   def rawStatExprs(spec: CompositeAggregator, full: Column): Seq[Column] = {
     val part = !full
@@ -133,16 +133,11 @@ object Agg {
   }
 
   /** Exact aggregate representation F(r) of the objects of `df` strictly
-    * inside `region` (Def. 3; strict bounds per Lemma 1 semantics).
-    * `df` must carry raw `x`/`y` columns.
+    * inside `region` (Def. 3): by Lemma 1, the representation of the point at
+    * the region's bottom-left corner over the objects' `width×height`
+    * rectangles. `df` must carry raw `x`/`y` columns.
     */
-  def representation(df: DataFrame, spec: CompositeAggregator, region: Box): Array[Double] = {
-    val prepared = prepare(df, spec).where(
-      col("x") > region.x0 && col("x") < region.x1 &&
-      col("y") > region.y0 && col("y") < region.y1)
-    val row = prepared.agg(rawStatExprs(spec, lit(true)).head,
-                           rawStatExprs(spec, lit(true)).tail: _*).collect()(0)
-    val stats = CellStats.parseRow(row, spec)
-    CellStats.exactVec(spec, stats)
-  }
+  def representation(df: DataFrame, spec: CompositeAggregator, region: Box): Array[Double] =
+    BruteForce.evalPoint(LocalRects.collect(Rects.build(df, region.width, region.height, spec), spec),
+                         spec, region.x0, region.y0)
 }

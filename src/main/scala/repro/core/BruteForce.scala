@@ -4,47 +4,26 @@ package repro.core
   * O(n²) disjoint regions (Lemma 3); enumerating one interior point per
   * region (midpoints of consecutive distinct edge coordinates) and scoring
   * each by a direct scan is exact. O(n³) — tests and tiny instances only.
+  *
+  * [[evalPoint]], one O(n) scan, is also the representation F(r) of a
+  * region ([[Agg.representation]], by Lemma 1) and scores DS-Search's
+  * incumbent seeds.
   */
 object BruteForce {
 
-  /** Representation F(p) of a point: aggregate over the rectangles covering
-    * it (open containment), mirroring [[CellStats.exactVec]] conventions.
+  /** Representation F(p) of a point: every rectangle covering it (open
+    * containment) added as a full cover to a 1-slot [[CellStats]], read as
+    * a clean cell.
     */
   def evalPoint(lr: LocalRects, spec: CompositeAggregator, px: Double, py: Double): Array[Double] = {
-    val (distSlot, numSlot) = LocalRects.slots(spec)
-    val out = new Array[Double](spec.dim)
-    // avg aggregators need a second pass for the count
-    val avgCnt = new Array[Long](spec.aggs.size)
+    val cs = new CellStats(spec, 1)
     var r = 0
     while (r < lr.n) {
-      if (lr.xlo(r) < px && px < lr.xhi(r) && lr.ylo(r) < py && py < lr.yhi(r)) {
-        var i = 0; var o = 0
-        while (i < spec.aggs.size) {
-          spec.aggs(i) match {
-            case d: DistAgg =>
-              val j = lr.distIdx(distSlot(i))(r)
-              if (j >= 0) out(o + j) += 1
-              o += d.dim
-            case _: AvgAgg =>
-              if (lr.numSel(numSlot(i))(r)) { out(o) += lr.numVal(numSlot(i))(r); avgCnt(i) += 1 }
-              o += 1
-            case _: SumAgg =>
-              if (lr.numSel(numSlot(i))(r)) out(o) += lr.numVal(numSlot(i))(r)
-              o += 1
-          }
-          i += 1
-        }
-      }
+      if (lr.xlo(r) < px && px < lr.xhi(r) && lr.ylo(r) < py && py < lr.yhi(r)) cs.add(0, lr, r, true, 1)
       r += 1
     }
-    var i = 0; var o = 0
-    spec.aggs.foreach { a =>
-      a match {
-        case _: AvgAgg => out(o) = if (avgCnt(i) > 0) out(o) / avgCnt(i) else 0.0
-        case _         => ()
-      }
-      o += a.dim; i += 1
-    }
+    val out = new Array[Double](spec.dim)
+    cs.exact(0, out)
     out
   }
 

@@ -1,103 +1,130 @@
 package repro.core
 
-import org.apache.spark.sql.Row
-
-/** Raw per-aggregator statistics of one grid cell: what the fully-covering
+/** Raw per-aggregator statistics of `slots` slots (grid cells, or the one
+  * point of a sweep or a brute-force probe): what the fully-covering
   * rectangle set contributes exactly, plus what the partially-covering set
-  * could add. Produced by both discretizer paths, consumed by the bound and
-  * distance math of §4.3.
+  * could add (Function Discretize, §4.3). The one Scala copy of a cell's
+  * f_D/f_A/f_S semantics ([[GridIndex]] bounds index cells its own way).
+  *
+  * Slot `s`'s statistics are `raw(s·width + offsets(i) + k)`, per aggregator
+  * `i` in the column order of [[Agg.rawStatExprs]]:
+  *   - f_D: `(full_j, part_j)` for each domain value `j`;
+  *   - f_A: full count, full sum, partial count, partial min, partial max
+  *     (min/max NaN when there is no partial);
+  *   - f_S: full sum, positive partial sum, negative partial sum.
+  *
+  * A slot no rectangle touched reads as the empty clean region.
   */
-sealed trait AggStat
+final class CellStats(val spec: CompositeAggregator, val slots: Int) {
+  import CellStats._
 
-/** f_D: per-domain-value counts of full / partial covers. */
-final case class DistStat(full: Array[Long], part: Array[Long]) extends AggStat
+  private val kinds: Array[Int] = spec.aggs.map {
+    case _: DistAgg => Dist; case _: AvgAgg => Avg; case _: SumAgg => Sum
+  }.toArray
+  private val dims: Array[Int] = spec.aggs.map(_.dim).toArray
+  /** Per aggregator, its column in `LocalRects.distIdx` or `numVal`/`numSel`. */
+  private val cols: Array[Int] = {
+    val (distSlot, numSlot) = LocalRects.slots(spec)
+    distSlot.zip(numSlot).map { case (d, m) => math.max(d, m) }
+  }
 
-/** f_A: count+sum over full covers; count and min/max (NaN when none) over
-  * partial covers — enough for the convex-combination average bound.
-  */
-final case class AvgStat(fullCnt: Long, fullSum: Double,
-                         partCnt: Long, partMin: Double, partMax: Double) extends AggStat
+  /** Start of aggregator `i`'s statistics inside a slot. */
+  val offsets: Array[Int] = spec.aggs.map {
+    case d: DistAgg => 2 * d.dim; case _: AvgAgg => 5; case _: SumAgg => 3
+  }.scanLeft(0)(_ + _).toArray
+  val width: Int = offsets.last
 
-/** f_S: exact full-cover sum plus the positive/negative partial-cover mass. */
-final case class SumStat(fullSum: Double, partPos: Double, partNeg: Double) extends AggStat
+  val raw: Array[Double] = new Array[Double](slots * width)
+  /** Number of partially-covering rectangles per slot (dirty iff > 0). */
+  val nPartial: Array[Int] = new Array[Int](slots)
 
-/** One discretized cell: indices, number of partially-covering rectangles
-  * (dirty iff > 0), and the per-aggregator statistics.
-  */
-final case class CellRaw(ci: Int, cj: Int, nPartial: Long, stats: Array[AggStat]) {
-  def isDirty: Boolean = nPartial > 0
+  for (i <- kinds.indices if kinds(i) == Avg; s <- 0 until slots) {
+    raw(s * width + offsets(i) + 3) = Double.NaN; raw(s * width + offsets(i) + 4) = Double.NaN
+  }
+
+  def isDirty(slot: Int): Boolean = nPartial(slot) > 0
+
+  /** Add rectangle `r` of `lr` to `slot` as a full or a partial cover. A
+    * `sign` of −1 removes an earlier full cover (sweeps); partial covers
+    * are only ever added.
+    */
+  def add(slot: Int, lr: LocalRects, r: Int, full: Boolean, sign: Int): Unit = {
+    if (!full) nPartial(slot) += 1
+    val base = slot * width
+    var i = 0
+    while (i < kinds.length) {
+      val b = base + offsets(i)
+      if (kinds(i) == Dist) {
+        val j = lr.distIdx(cols(i))(r)
+        if (j >= 0) raw(b + 2 * j + (if (full) 0 else 1)) += sign
+      } else if (lr.numSel(cols(i))(r)) {
+        val v = lr.numVal(cols(i))(r)
+        if (kinds(i) == Avg) {
+          if (full) { raw(b) += sign; raw(b + 1) += sign * v }
+          else {
+            raw(b + 2) += 1
+            if (raw(b + 3).isNaN || v < raw(b + 3)) raw(b + 3) = v
+            if (raw(b + 4).isNaN || v > raw(b + 4)) raw(b + 4) = v
+          }
+        } else {
+          if (full) raw(b) += sign * v
+          else if (v > 0) raw(b + 1) += v
+          else if (v < 0) raw(b + 2) += v
+        }
+      }
+      i += 1
+    }
+  }
+
+  /** Exact representation of a clean slot into `out`: the aggregates of its
+    * full covers (avg(∅) := 0).
+    */
+  def exact(slot: Int, out: Array[Double]): Unit = {
+    val base = slot * width
+    var i = 0; var o = 0
+    while (i < kinds.length) {
+      val b = base + offsets(i)
+      kinds(i) match {
+        case Dist =>
+          var j = 0
+          while (j < dims(i)) { out(o + j) = raw(b + 2 * j); j += 1 }
+        case Avg =>
+          out(o) = if (raw(b) > 0) raw(b + 1) / raw(b) else 0.0
+        case _ =>
+          out(o) = raw(b)
+      }
+      o += dims(i); i += 1
+    }
+  }
+
+  /** Bounding vectors `lo ≤ v ≤ hi` of the representation of any location
+    * in the slot (§4.3; f_A/f_S bounds per DESIGN.md §3).
+    */
+  def bounds(slot: Int, lo: Array[Double], hi: Array[Double]): Unit = {
+    val base = slot * width
+    var i = 0; var o = 0
+    while (i < kinds.length) {
+      val b = base + offsets(i)
+      kinds(i) match {
+        case Dist =>
+          var j = 0
+          while (j < dims(i)) {
+            lo(o + j) = raw(b + 2 * j); hi(o + j) = raw(b + 2 * j) + raw(b + 2 * j + 1); j += 1
+          }
+        case Avg =>
+          val avgF = if (raw(b) > 0) raw(b + 1) / raw(b) else 0.0
+          if (raw(b + 2) == 0) { lo(o) = avgF; hi(o) = avgF }
+          else { lo(o) = math.min(avgF, raw(b + 3)); hi(o) = math.max(avgF, raw(b + 4)) }
+        case _ =>
+          lo(o) = raw(b) + raw(b + 2); hi(o) = raw(b) + raw(b + 1)
+      }
+      o += dims(i); i += 1
+    }
+  }
 }
 
 object CellStats {
-
-  /** Statistics of a cell covered by no rectangle at all (empty clean cell). */
-  def empty(spec: CompositeAggregator, ci: Int, cj: Int): CellRaw =
-    CellRaw(ci, cj, 0L, spec.aggs.map {
-      case DistAgg(_, dom, _) => DistStat(Array.fill(dom.size)(0L), Array.fill(dom.size)(0L))
-      case _: AvgAgg          => AvgStat(0L, 0.0, 0L, Double.NaN, Double.NaN)
-      case _: SumAgg          => SumStat(0.0, 0.0, 0.0)
-    }.toArray)
-
-  /** Parse the columns produced by [[Agg.rawStatExprs]] out of a Row. */
-  def parseRow(row: Row, spec: CompositeAggregator): Array[AggStat] =
-    spec.aggs.zipWithIndex.map { case (a, i) =>
-      def L(n: String): Long   = row.getAs[Long](n)
-      def D(n: String): Double = row.getAs[Double](n)
-      def DN(n: String): Double = { // nullable min/max
-        val v = row.getAs[Any](n)
-        if (v == null) Double.NaN else v.asInstanceOf[Double]
-      }
-      a match {
-        case DistAgg(_, dom, _) =>
-          DistStat(dom.indices.map(j => L(s"a${i}_f$j")).toArray,
-                   dom.indices.map(j => L(s"a${i}_p$j")).toArray)
-        case _: AvgAgg =>
-          AvgStat(L(s"a${i}_fcnt"), D(s"a${i}_fsum"), L(s"a${i}_pcnt"),
-                  DN(s"a${i}_pmin"), DN(s"a${i}_pmax"))
-        case _: SumAgg =>
-          SumStat(D(s"a${i}_fsum"), D(s"a${i}_ppos"), D(s"a${i}_pneg"))
-      }
-    }.toArray
-
-  /** Exact representation of a clean cell (aggregates of the full-cover set;
-    * avg(∅) := 0). Also valid as the "assume no partials materialize" vector.
-    */
-  def exactVec(spec: CompositeAggregator, stats: Array[AggStat]): Array[Double] = {
-    val out = new Array[Double](spec.dim)
-    var o = 0
-    stats.foreach {
-      case DistStat(full, _) =>
-        full.foreach { c => out(o) = c.toDouble; o += 1 }
-      case AvgStat(fc, fs, _, _, _) =>
-        out(o) = if (fc > 0) fs / fc else 0.0; o += 1
-      case SumStat(fs, _, _) =>
-        out(o) = fs; o += 1
-    }
-    out
-  }
-
-  /** Bounding vectors `(v̲, v̄)` for the representation of any location in the
-    * cell (§4.3; f_A/f_S bounds per DESIGN.md §3).
-    */
-  def boundVecs(spec: CompositeAggregator, stats: Array[AggStat]): (Array[Double], Array[Double]) = {
-    val lo = new Array[Double](spec.dim)
-    val hi = new Array[Double](spec.dim)
-    var o = 0
-    stats.foreach {
-      case DistStat(full, part) =>
-        var j = 0
-        while (j < full.length) {
-          lo(o) = full(j).toDouble; hi(o) = (full(j) + part(j)).toDouble; o += 1; j += 1
-        }
-      case AvgStat(fc, fs, pc, pmin, pmax) =>
-        val avgF = if (fc > 0) fs / fc else 0.0
-        if (pc == 0) { lo(o) = avgF; hi(o) = avgF }
-        else if (fc > 0) { lo(o) = math.min(avgF, pmin); hi(o) = math.max(avgF, pmax) }
-        else { lo(o) = math.min(0.0, pmin); hi(o) = math.max(0.0, pmax) }
-        o += 1
-      case SumStat(fs, ppos, pneg) =>
-        lo(o) = fs + pneg; hi(o) = fs + ppos; o += 1
-    }
-    (lo, hi)
-  }
+  private final val Dist = 0
+  private final val Avg = 1
+  private final val Sum = 2
 }

@@ -107,26 +107,29 @@ final class DSSearch(
     }
   }
 
+  // Reused by every harvest: a cell's exact vector or its bounding vectors.
+  private val vec = new Array[Double](spec.dim)
+  private val lo = new Array[Double](spec.dim)
+  private val hi = new Array[Double](spec.dim)
+
   /** Evaluate every cell of the grid: clean cells refine the incumbent, dirty
     * cells surviving the bound check are returned for splitting.
     */
-  private def harvest(grid: Grid, cells: Array[CellRaw],
+  private def harvest(grid: Grid, cells: CellStats,
                       state: SearchState): IndexedSeq[SplitHeuristic.DirtyCell] = {
-    val present = new Array[CellRaw](grid.cells)
-    cells.foreach(c => present(grid.flat(c.ci, c.cj)) = c)
     val dirty = IndexedSeq.newBuilder[SplitHeuristic.DirtyCell]
     var j = 0
     while (j < grid.nrow) {
       var i = 0
       while (i < grid.ncol) {
         state.stats.cellsEvaluated += 1
-        val raw = present(grid.flat(i, j))
+        val slot = grid.flat(i, j)
         val box = grid.cellBox(i, j)
-        if (raw == null || !raw.isDirty) {
-          val stats = if (raw == null) CellStats.empty(spec, i, j).stats else raw.stats
-          state.offer(objective.score(CellStats.exactVec(spec, stats)), box.centerX, box.centerY)
+        if (!cells.isDirty(slot)) {
+          cells.exact(slot, vec)
+          state.offer(objective.score(vec), box.centerX, box.centerY)
         } else {
-          val (lo, hi) = CellStats.boundVecs(spec, raw.stats)
+          cells.bounds(slot, lo, hi)
           val b = objective.bound(lo, hi)
           if (objective.better(b, state.threshold))
             dirty += SplitHeuristic.DirtyCell(box, b)
@@ -187,8 +190,9 @@ object DSSearch {
   def initialBound(objective: Objective): Double =
     if (objective.isMin) 0.0 else Double.PositiveInfinity
 
+  /** Score of an object-free region, whose representation is all zeros. */
   def emptyScore(spec: CompositeAggregator, objective: Objective): Double =
-    objective.score(CellStats.exactVec(spec, CellStats.empty(spec, 0, 0).stats))
+    objective.score(new Array[Double](spec.dim))
 
   /** Pre-seed the incumbent by scoring a deterministic sample of achievable
     * candidate points (rectangle centers). Sound for any objective — each

@@ -34,6 +34,9 @@ object GIDS {
       s"the index was built for aggregators ${index.spec.aggs.mkString(", ")}, " +
       s"not the query's ${spec.aggs.mkString(", ")}")
     val q = PreparedQuery(objects, a, b, spec)
+    require(index.n == q.n && index.maxX == q.space.x1 && index.maxY == q.space.y1,
+      s"the index was built from other data: ${index.n} objects with max (x, y) = " +
+      s"(${index.maxX}, ${index.maxY}), not the query's ${q.n} with (${q.space.x1}, ${q.space.y1})")
     val lr = q.local
     val state = new SearchState(objective, params.delta)
     state.offer(DSSearch.emptyScore(spec, objective), q.space.x1 + a, q.space.y1 + b)

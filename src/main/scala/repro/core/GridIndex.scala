@@ -12,11 +12,15 @@ import org.apache.spark.sql.functions._
   * f_D per-value counts; f_A selected count+sum plus the global attribute
   * min/max (range min/max is not inclusion-exclusion-invertible — DESIGN.md
   * §3); f_S positive/negative sums.
+  *
+  * `n`, `maxX` and `maxY` (object count, largest x and y) identify the data
+  * the index was built from; [[GIDS]] rejects a query over other data.
   */
 final class GridIndex(
     val space: Box, val sx: Int, val sy: Int,
     val spec: CompositeAggregator,
-    stats: Array[GridIndex.IdxStat]) {
+    stats: Array[GridIndex.IdxStat],
+    val n: Long, val maxX: Double, val maxY: Double) {
 
   val cw: Double = space.width / sx
   val ch: Double = space.height / sy
@@ -126,7 +130,7 @@ object GridIndex {
     */
   def build(objects: DataFrame, spec: CompositeAggregator, sx: Int, sy: Int): GridIndex = {
     val prepared = Agg.prepare(objects, spec)
-    val bb = prepared.agg(min("x"), min("y"), max("x"), max("y")).collect()(0)
+    val bb = prepared.agg(min("x"), min("y"), max("x"), max("y"), count(lit(1))).collect()(0)
     require(!bb.isNullAt(0), "GridIndex.build: no objects to index (empty input)")
     val space = Box(bb.getDouble(0), bb.getDouble(1),
                     math.max(bb.getDouble(2), bb.getDouble(0) + 1e-9),
@@ -211,6 +215,6 @@ object GridIndex {
         SumIdx(suffix(pos), suffix(neg))
     }.toArray
 
-    new GridIndex(space, sx, sy, spec, stats)
+    new GridIndex(space, sx, sy, spec, stats, bb.getLong(4), bb.getDouble(2), bb.getDouble(3))
   }
 }

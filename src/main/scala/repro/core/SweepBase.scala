@@ -16,63 +16,6 @@ object SweepBase {
 
   final case class Result(x: Double, y: Double, score: Double, intervals: Long)
 
-  /** Incrementally-maintained representation of the current active set. */
-  private final class RunStats(spec: CompositeAggregator, lr: LocalRects) {
-    private val (distSlot, numSlot) = LocalRects.slots(spec)
-    private val dist = spec.aggs.map { case d: DistAgg => new Array[Long](d.dim); case _ => null }
-    private val cnt  = new Array[Long](spec.aggs.size)
-    private val sum  = new Array[Double](spec.aggs.size)
-
-    def update(r: Int, sign: Int): Unit = {
-      var i = 0
-      while (i < spec.aggs.size) {
-        spec.aggs(i) match {
-          case _: DistAgg =>
-            val j = lr.distIdx(distSlot(i))(r)
-            if (j >= 0) dist(i)(j) += sign
-          case _ =>
-            if (lr.numSel(numSlot(i))(r)) { cnt(i) += sign; sum(i) += sign * lr.numVal(numSlot(i))(r) }
-        }
-        i += 1
-      }
-    }
-
-    def vec: Array[Double] = {
-      val out = new Array[Double](spec.dim)
-      var i = 0; var o = 0
-      spec.aggs.foreach { a =>
-        a match {
-          case d: DistAgg => var j = 0; while (j < d.dim) { out(o + j) = dist(i)(j).toDouble; j += 1 }
-          case _: AvgAgg  => out(o) = if (cnt(i) > 0) sum(i) / cnt(i) else 0.0
-          case _: SumAgg  => out(o) = sum(i)
-        }
-        o += a.dim; i += 1
-      }
-      out
-    }
-
-    /** Allocation-free weighted L1 distance to `target` — the hot path of
-      * the O(n²) sweep evaluates millions of intervals.
-      */
-    def distanceTo(target: Array[Double], weights: Array[Double]): Double = {
-      var s = 0.0; var i = 0; var o = 0
-      spec.aggs.foreach { a =>
-        a match {
-          case d: DistAgg =>
-            var j = 0
-            while (j < d.dim) { s += math.abs(dist(i)(j) - target(o + j)) * weights(o + j); j += 1 }
-          case _: AvgAgg =>
-            val v = if (cnt(i) > 0) sum(i) / cnt(i) else 0.0
-            s += math.abs(v - target(o)) * weights(o)
-          case _: SumAgg =>
-            s += math.abs(sum(i) - target(o)) * weights(o)
-        }
-        o += a.dim; i += 1
-      }
-      s
-    }
-  }
-
   def solve(lr: LocalRects, spec: CompositeAggregator, objective: Objective): Result = {
     var bestScore = DSSearch.emptyScore(spec, objective)
     var bx = (if (lr.n > 0) lr.xhi.max else 0.0) + 1.0
@@ -84,6 +27,7 @@ object SweepBase {
     val byLo = Array.range(0, lr.n).sortBy(lr.xlo)
     val byHi = Array.range(0, lr.n).sortBy(lr.xhi)
     val active = mutable.LinkedHashSet.empty[Int]
+    val vec = new Array[Double](spec.dim)
     var pLo = 0; var pHi = 0
 
     var k = 0
@@ -103,21 +47,19 @@ object SweepBase {
           i += 1
         }
         java.util.Arrays.sort(events, Ordering.by((e: (Double, Int, Int)) => (e._1, e._2)))
-        val run = new RunStats(spec, lr)
+        val run = new CellStats(spec, 1) // the active set's full covers at y
         i = 0
         while (i < events.length) {
           val y = events(i)._1
           while (i < events.length && events(i)._1 == y) {
             val (_, kind, r) = events(i)
-            run.update(r, if (kind == 0) 1 else -1)
+            run.add(0, lr, r, true, if (kind == 0) 1 else -1)
             i += 1
           }
           if (i < events.length) {
             intervals += 1
-            val s = objective match {
-              case MinDistance(sp, target) => run.distanceTo(target, sp.weights)
-              case _                       => objective.score(run.vec)
-            }
+            run.exact(0, vec)
+            val s = objective.score(vec)
             if (objective.better(s, bestScore)) {
               bestScore = s; bx = px; by = (y + events(i)._1) / 2
             }

@@ -21,7 +21,7 @@ class AccuracySpec extends SparkSpec {
 
   /** Solvers take ΔX/ΔY from `ofLocal`; it must equal the window job's. */
   private def agree(seed: Int, res: Double): Unit = {
-    val data = TestGen.df(spark, 30, seed, res).cache()
+    val data = TestGen.df(spark, 30, seed, res)
     val spec = TestGen.specs(0)
     val rects = Rects.build(data, 6 / 64.0, 9 / 64.0, spec).cache()
     val lr = LocalRects.collect(rects, spec)
@@ -38,7 +38,7 @@ class AccuracySpec extends SparkSpec {
   }
 
   test("lattice data with lattice-multiple query size has lattice accuracy") {
-    val data = TestGen.df(spark, 50, 77, res = 1.0 / 64).cache()
+    val data = TestGen.df(spark, 50, 77, res = 1.0 / 64)
     val spec = TestGen.specs(0)
     val lr = TestGen.localRects(data, 8 / 64.0, 4 / 64.0, spec)
     val (dx, dy) = Accuracy.ofLocal(lr)

@@ -65,7 +65,7 @@ class AggregatorSpec extends SparkSpec {
   // --- F(r) against DuckDB -------------------------------------------------
 
   private def oracleCheck(seed: Int, specIdx: Int): Unit = {
-    val data = TestGen.df(spark, 40, seed).cache()
+    val data = TestGen.df(spark, 40, seed)
     val rng = new Random(seed * 97)
     val a = (rng.nextInt(20) + 8) / 64.0; val b = (rng.nextInt(20) + 8) / 64.0
     val qx = rng.nextDouble() * (1 - a); val qy = rng.nextDouble() * (1 - b)

@@ -10,7 +10,7 @@ class ApproxSpec extends SparkSpec {
 
   for (seed <- 1 to 4; delta <- Seq(0.1, 0.3))
     test(s"(1+δ) guarantee holds (seed $seed, δ=$delta)") {
-      val data = TestGen.df(spark, 35, seed).cache()
+      val data = TestGen.df(spark, 35, seed)
       val spec = TestGen.specs(3)
       val rng = new Random(seed * 19)
       val a = (rng.nextInt(12) + 4) / 64.0; val b = (rng.nextInt(12) + 4) / 64.0
@@ -26,11 +26,10 @@ class ApproxSpec extends SparkSpec {
       val achieved = MinDistance(spec, target).score(
         BruteForce.evalPoint(lr, spec, res.x, res.y))
       assert(math.abs(achieved - res.score) < 1e-9)
-      data.unpersist()
     }
 
   test("δ=0 equals the exact solver") {
-    val data = TestGen.df(spark, 30, 9).cache()
+    val data = TestGen.df(spark, 30, 9)
     val spec = TestGen.specs(4)
     val a = 8 / 64.0; val b = 6 / 64.0
     val target = TestGen.target(spark, data, spec, a, b, 9)

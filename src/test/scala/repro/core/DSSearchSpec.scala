@@ -10,7 +10,7 @@ import scala.util.Random
 class DSSearchSpec extends SparkSpec {
 
   private def check(seed: Int, specIdx: Int, n: Int, params: SearchParams): Unit = {
-    val data = TestGen.df(spark, n, seed).cache()
+    val data = TestGen.df(spark, n, seed)
     val spec = TestGen.specs(specIdx)
     val rng = new Random(seed * 101 + specIdx)
     val a = (rng.nextInt(14) + 4) / 64.0; val b = (rng.nextInt(14) + 4) / 64.0
@@ -23,7 +23,6 @@ class DSSearchSpec extends SparkSpec {
     // the reported point must actually achieve the reported score
     val achieved = MinDistance(spec, target).score(BruteForce.evalPoint(lr, spec, ds.x, ds.y))
     assert(math.abs(achieved - ds.score) < 1e-9, s"reported point achieves $achieved, not ${ds.score}")
-    data.unpersist()
   }
 
   // Exactness across all aggregator shapes.
@@ -47,7 +46,7 @@ class DSSearchSpec extends SparkSpec {
   }
 
   test("target equal to the empty representation finds distance 0") {
-    val data = TestGen.df(spark, 20, 9).cache()
+    val data = TestGen.df(spark, 20, 9)
     val spec = TestGen.specs(0)
     val r = DSSearch.solveASRS(data, 4 / 64.0, 4 / 64.0, spec, Array(0.0, 0, 0))
     assert(r.score == 0.0)
@@ -79,7 +78,7 @@ class DSSearchSpec extends SparkSpec {
   }
 
   test("search statistics are populated") {
-    val data = TestGen.df(spark, 40, 13).cache()
+    val data = TestGen.df(spark, 40, 13)
     val spec = TestGen.specs(3)
     val t = TestGen.target(spark, data, spec, 0.1, 0.1, 13)
     val r = DSSearch.solveASRS(data, 0.1, 0.1, spec, t)

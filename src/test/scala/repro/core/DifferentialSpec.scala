@@ -1,0 +1,49 @@
+package repro.core
+
+import repro.SparkSpec
+import scala.util.Random
+
+/** A seeded differential net at n = 1,000 (duplicate-heavy on the 1/64
+  * lattice): DS-Search and GI-DS equal the Base sweep, and app-GIDS keeps its
+  * (1+δ) guarantee, for every test spec, on reachable and unreachable targets
+  * and on a query larger than the data's extent.
+  */
+class DifferentialSpec extends SparkSpec {
+
+  private val Delta = 0.2
+
+  private def check(spec: CompositeAggregator, a: Double, b: Double, target: Array[Double]): Unit = {
+    val data = TestGen.df(spark, 1000, 1)
+    val d = SweepBase.solve(TestGen.localRects(data, a, b, spec), spec, MinDistance(spec, target)).score
+    val tol = 1e-9 * math.max(1.0, math.abs(d))
+    val ds = DSSearch.solveASRS(data, a, b, spec, target)
+    assert(math.abs(ds.score - d) <= tol, s"DS-Search ${ds.score} vs Base $d (a=$a b=$b)")
+    assert(!ds.stats.truncated)
+    val idx = GridIndex.build(data, spec, 16, 16)
+    val gids = GIDS.solve(data, a, b, spec, target, idx)
+    assert(math.abs(gids.score - d) <= tol, s"GI-DS ${gids.score} vs Base $d (a=$a b=$b)")
+    val app = GIDS.solve(data, a, b, spec, target, idx, SearchParams(delta = Delta))
+    assert(app.score >= d - tol && app.score <= (1 + Delta) * d + tol,
+      s"app-GIDS ${app.score} outside [$d, ${(1 + Delta) * d}] (a=$a b=$b)")
+  }
+
+  /** A target no region is likely to attain: every dimension moved off the
+    * representation of a real region.
+    */
+  private def unreachable(t: Array[Double]): Array[Double] = t.map(_ * 1.3 + 0.7)
+
+  for ((spec, k) <- TestGen.specs.zipWithIndex)
+    test(s"DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 (spec $k)") {
+      val rng = new Random(k * 101 + 5)
+      val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
+      val target = TestGen.target(spark, TestGen.df(spark, 1000, 1), spec, a, b, k + 1)
+      check(spec, a, b, target)
+      check(spec, a, b, unreachable(target))
+    }
+
+  test("DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 on a query larger than the extent") {
+    val spec = TestGen.specs(3)
+    val target = TestGen.target(spark, TestGen.df(spark, 1000, 1), spec, 0.5, 0.75, 7)
+    check(spec, 1.25, 1.5, unreachable(target))
+  }
+}

@@ -9,30 +9,30 @@ import scala.util.Random
   */
 class DiscretizeSpec extends SparkSpec {
 
-  private def sortCells(cs: Array[CellRaw]) = cs.sortBy(c => (c.cj, c.ci))
-
-  private def assertSameCells(a: Array[CellRaw], b: Array[CellRaw]): Unit = {
-    assert(a.length == b.length, s"cell count ${a.length} vs ${b.length}")
-    sortCells(a).zip(sortCells(b)).foreach { case (x, y) =>
-      assert(x.ci == y.ci && x.cj == y.cj, s"cell ids (${x.ci},${x.cj}) vs (${y.ci},${y.cj})")
-      assert(x.nPartial == y.nPartial, s"nPartial at (${x.ci},${x.cj})")
-      x.stats.zip(y.stats).foreach {
-        case (DistStat(f1, p1), DistStat(f2, p2)) =>
-          assert(f1.sameElements(f2) && p1.sameElements(p2), s"dist stats at (${x.ci},${x.cj})")
-        case (AvgStat(c1, s1, pc1, mn1, mx1), AvgStat(c2, s2, pc2, mn2, mx2)) =>
-          assert(c1 == c2 && pc1 == pc2); assert(math.abs(s1 - s2) < 1e-9)
-          assert((mn1.isNaN && mn2.isNaN) || math.abs(mn1 - mn2) < 1e-12)
-          assert((mx1.isNaN && mx2.isNaN) || math.abs(mx1 - mx2) < 1e-12)
-        case (SumStat(s1, p1, n1), SumStat(s2, p2, n2)) =>
-          assert(math.abs(s1 - s2) < 1e-9 && math.abs(p1 - p2) < 1e-9 && math.abs(n1 - n2) < 1e-9)
-        case other => fail(s"stat kind mismatch $other")
+  /** Counts and `nPartial` exact, sums within 1e-9, partial min/max within
+    * 1e-12 or both NaN.
+    */
+  private def assertSameCells(x: CellStats, y: CellStats): Unit = {
+    assert(x.slots == y.slots, s"slot count ${x.slots} vs ${y.slots}")
+    for (slot <- 0 until x.slots) {
+      assert(x.nPartial(slot) == y.nPartial(slot), s"nPartial at slot $slot")
+      def at(cs: CellStats, i: Int, k: Int) = cs.raw(slot * cs.width + cs.offsets(i) + k)
+      def same(i: Int, k: Int, tol: Double) = {
+        val (u, v) = (at(x, i, k), at(y, i, k))
+        assert(u == v || (u.isNaN && v.isNaN) || math.abs(u - v) < tol, s"slot $slot agg $i stat $k: $u vs $v")
+      }
+      x.spec.aggs.zipWithIndex.foreach {
+        case (d: DistAgg, i) => (0 until 2 * d.dim).foreach(same(i, _, 0))
+        case (_: AvgAgg, i)  =>
+          same(i, 0, 0); same(i, 1, 1e-9); same(i, 2, 0); same(i, 3, 1e-12); same(i, 4, 1e-12)
+        case (_: SumAgg, i)  => (0 until 3).foreach(same(i, _, 1e-9))
       }
     }
   }
 
   for (seed <- 1 to 6; specIdx <- Seq(0, 3, 4))
     test(s"spark and local discretization agree (seed $seed, spec $specIdx)") {
-      val data = TestGen.df(spark, 35, seed).cache()
+      val data = TestGen.df(spark, 35, seed)
       val spec = TestGen.specs(specIdx)
       val rng = new Random(seed * 13)
       val a = (rng.nextInt(16) + 6) / 64.0; val b = (rng.nextInt(16) + 6) / 64.0
@@ -49,20 +49,19 @@ class DiscretizeSpec extends SparkSpec {
 
   for (seed <- 1 to 10) test(s"clean cells are exact, dirty bounds sound (seed $seed)") {
     val rng = new Random(seed * 7 + 1)
-    val data = TestGen.df(spark, 30, seed + 100).cache()
+    val data = TestGen.df(spark, 30, seed + 100)
     val spec = TestGen.specs(3)
     val a = (rng.nextInt(16) + 6) / 64.0; val b = (rng.nextInt(16) + 6) / 64.0
     val lr = TestGen.localRects(data, a, b, spec)
     val grid = Grid(Box(-a, -b, 1, 1), 9, 9)
     val cells = Discretize.local(lr, Array.range(0, lr.n), grid, spec)
-    val present = cells.map(c => (c.ci, c.cj) -> c).toMap
 
     for (i <- 0 until grid.ncol; j <- 0 until grid.nrow) {
       val box = grid.cellBox(i, j)
-      val raw = present.getOrElse((i, j), CellStats.empty(spec, i, j))
-      if (!raw.isDirty) {
+      if (!cells.isDirty(grid.flat(i, j))) {
         // every interior point has the clean representation
-        val exact = CellStats.exactVec(spec, raw.stats)
+        val exact = new Array[Double](spec.dim)
+        cells.exact(grid.flat(i, j), exact)
         for (_ <- 1 to 3) {
           val px = box.x0 + (0.1 + 0.8 * rng.nextDouble()) * box.width
           val py = box.y0 + (0.1 + 0.8 * rng.nextDouble()) * box.height
@@ -71,7 +70,8 @@ class DiscretizeSpec extends SparkSpec {
             s"clean cell ($i,$j) dim $k: ${exact(k)} vs ${v(k)}"))
         }
       } else {
-        val (lo, hi) = CellStats.boundVecs(spec, raw.stats)
+        val (lo, hi) = (new Array[Double](spec.dim), new Array[Double](spec.dim))
+        cells.bounds(grid.flat(i, j), lo, hi)
         for (_ <- 1 to 5) {
           val px = box.x0 + rng.nextDouble() * box.width
           val py = box.y0 + rng.nextDouble() * box.height
@@ -87,7 +87,7 @@ class DiscretizeSpec extends SparkSpec {
 
   for (seed <- 11 to 16) test(s"dirty-cell lower bound never beats a real point (seed $seed)") {
     val rng = new Random(seed)
-    val data = TestGen.df(spark, 25, seed).cache()
+    val data = TestGen.df(spark, 25, seed)
     val spec = TestGen.specs(5)
     val a = 10 / 64.0; val b = 8 / 64.0
     val target = TestGen.target(spark, data, spec, a, b, seed)
@@ -95,31 +95,38 @@ class DiscretizeSpec extends SparkSpec {
     val lr = TestGen.localRects(data, a, b, spec)
     val grid = Grid(Box(-a, -b, 1, 1), 8, 8)
     val cells = Discretize.local(lr, Array.range(0, lr.n), grid, spec)
-    cells.filter(_.isDirty).foreach { c =>
-      val (lo, hi) = CellStats.boundVecs(spec, c.stats)
+    for (i <- 0 until grid.ncol; j <- 0 until grid.nrow if cells.isDirty(grid.flat(i, j))) {
+      val (lo, hi) = (new Array[Double](spec.dim), new Array[Double](spec.dim))
+      cells.bounds(grid.flat(i, j), lo, hi)
       val lb = obj.bound(lo, hi)
-      val box = grid.cellBox(c.ci, c.cj)
+      val box = grid.cellBox(i, j)
       for (_ <- 1 to 8) {
         val px = box.x0 + rng.nextDouble() * box.width
         val py = box.y0 + rng.nextDouble() * box.height
         val d = obj.score(BruteForce.evalPoint(lr, spec, px, py))
-        assert(lb <= d + 1e-9, s"lb $lb > dist $d in cell (${c.ci},${c.cj})")
+        assert(lb <= d + 1e-9, s"lb $lb > dist $d in cell ($i,$j)")
       }
     }
   }
 
-  test("cells absent from output are truly empty") {
-    val data = TestGen.df(spark, 20, 3).cache()
-    val spec = TestGen.specs(0)
+  test("cells no rectangle touches read as empty") {
+    val data = TestGen.df(spark, 20, 3)
+    val spec = TestGen.specs(3)
     val lr = TestGen.localRects(data, 0.1, 0.1, spec)
     val grid = Grid(Box(-0.1, -0.1, 1, 1), 12, 12)
     val cells = Discretize.local(lr, Array.range(0, lr.n), grid, spec)
-    val present = cells.map(c => (c.ci, c.cj)).toSet
-    for (i <- 0 until 12; j <- 0 until 12 if !present((i, j))) {
+    val exact = new Array[Double](spec.dim)
+    var untouched = 0
+    for (i <- 0 until 12; j <- 0 until 12
+         if !Array.range(0, lr.n).exists(r => lr.box(r).overlapsOpen(grid.cellBox(i, j)))) {
+      untouched += 1
+      assert(!cells.isDirty(grid.flat(i, j)), s"untouched cell ($i,$j) is dirty")
+      cells.exact(grid.flat(i, j), exact)
+      assert(exact.forall(_ == 0.0), s"untouched cell ($i,$j) is not empty")
       val box = grid.cellBox(i, j)
-      val v = BruteForce.evalPoint(lr, spec, box.centerX, box.centerY)
-      assert(v.forall(_ == 0.0), s"missing cell ($i,$j) is not empty")
+      assert(BruteForce.evalPoint(lr, spec, box.centerX, box.centerY).forall(_ == 0.0))
     }
+    assert(untouched > 0)
   }
 
   test("a rectangle spanning the whole grid fully covers every cell") {
@@ -129,8 +136,12 @@ class DiscretizeSpec extends SparkSpec {
     val lr = TestGen.localRects(data, 10.0, 10.0, spec)
     val grid = Grid(Box(0.0, 0.0, 0.4, 0.4), 5, 5)
     val cells = Discretize.local(lr, Array.range(0, lr.n), grid, spec)
-    assert(cells.length == 25)
-    assert(cells.forall(!_.isDirty))
-    assert(cells.forall(c => c.stats.head.asInstanceOf[DistStat].full(0) == 1L))
+    assert(cells.slots == 25)
+    val exact = new Array[Double](spec.dim)
+    (0 until 25).foreach { slot =>
+      assert(!cells.isDirty(slot))
+      cells.exact(slot, exact)
+      assert(exact.sameElements(Array(1.0, 0.0, 0.0)))
+    }
   }
 }

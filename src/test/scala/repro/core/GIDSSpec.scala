@@ -8,7 +8,7 @@ class GIDSSpec extends SparkSpec {
 
   for (seed <- 1 to 5; g <- Seq(4, 8))
     test(s"GI-DS equals brute force (seed $seed, index ${g}x$g)") {
-      val data = TestGen.df(spark, 35, seed).cache()
+      val data = TestGen.df(spark, 35, seed)
       val spec = TestGen.specs(if (seed % 2 == 0) 3 else 4)
       val rng = new Random(seed * 71)
       val a = (rng.nextInt(14) + 4) / 64.0; val b = (rng.nextInt(14) + 4) / 64.0
@@ -21,7 +21,6 @@ class GIDSSpec extends SparkSpec {
         s"GIDS ${res.score} vs brute ${brute.score} (a=$a b=$b)")
       assert(res.totalCells == g * g)
       assert(res.cellsSearched >= 0 && res.cellsSearched <= res.totalCells)
-      data.unpersist()
     }
 
   test("optimum left of the index space is found (boundary strips)") {
@@ -58,7 +57,7 @@ class GIDSSpec extends SparkSpec {
   }
 
   test("shared incumbent across cells tightens pruning monotonically") {
-    val data = TestGen.df(spark, 40, 17).cache()
+    val data = TestGen.df(spark, 40, 17)
     val spec = TestGen.specs(3)
     val a = 8 / 64.0; val b = 8 / 64.0
     val target = TestGen.target(spark, data, spec, a, b, 17)
@@ -70,7 +69,7 @@ class GIDSSpec extends SparkSpec {
   }
 
   test("an index built for other aggregators is rejected; other weights are not") {
-    val data = TestGen.df(spark, 30, 23).cache()
+    val data = TestGen.df(spark, 30, 23)
     val (a, b) = (8 / 64.0, 8 / 64.0)
     val idx = GridIndex.build(data, TestGen.specs(3), 4, 4)
     val sumOnly = TestGen.specs(2)
@@ -84,6 +83,23 @@ class GIDSSpec extends SparkSpec {
     val brute = BruteForce.solve(lr, reweighted, MinDistance(reweighted, target))
     val res = GIDS.solve(data, a, b, reweighted, target, idx)
     assert(math.abs(res.score - brute.score) < 1e-9, s"GIDS ${res.score} vs brute ${brute.score}")
-    data.unpersist()
+  }
+
+  test("an index built from other data is rejected") {
+    import org.apache.spark.sql.functions.col
+    val data = TestGen.df(spark, 30, 23)
+    val spec = TestGen.specs(3)
+    val (a, b) = (8 / 64.0, 8 / 64.0)
+    val idx = GridIndex.build(data, spec, 4, 4)
+    val target = TestGen.target(spark, data, spec, a, b, 23)
+    val others = Seq(
+      "more objects" -> TestGen.df(spark, 31, 23),
+      "moved objects" -> data.withColumn("x", col("x") / 2),
+      "other objects" -> TestGen.df(spark, 30, 24))
+    others.foreach { case (what, other) =>
+      val e = intercept[IllegalArgumentException](GIDS.solve(other, a, b, spec, target, idx))
+      assert(e.getMessage.contains("built from other data"), s"$what: ${e.getMessage}")
+    }
+    assert(GIDS.solve(data, a, b, spec, target, idx).score >= 0.0)
   }
 }

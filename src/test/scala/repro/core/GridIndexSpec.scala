@@ -10,7 +10,7 @@ class GridIndexSpec extends SparkSpec {
 
   for (seed <- 1 to 4; g <- Seq(4, 8))
     test(s"Lemma 8 range counts match DuckDB (seed $seed, ${g}x$g)") {
-      val data = TestGen.df(spark, 60, seed).cache()
+      val data = TestGen.df(spark, 60, seed)
       val spec = CompositeAggregator.uniform(DistAgg("cat", TestGen.Cats))
       val idx = GridIndex.build(data, spec, g, g)
       val rng = new Random(seed * 11)
@@ -44,7 +44,7 @@ class GridIndexSpec extends SparkSpec {
 
   for (seed <- 1 to 6; specIdx <- Seq(0, 3, 4))
     test(s"candidate-region bounds are sound (seed $seed, spec $specIdx)") {
-      val data = TestGen.df(spark, 40, seed).cache()
+      val data = TestGen.df(spark, 40, seed)
       val spec = TestGen.specs(specIdx)
       val idx = GridIndex.build(data, spec, 6, 6)
       val rng = new Random(seed * 29)
@@ -66,7 +66,7 @@ class GridIndexSpec extends SparkSpec {
     }
 
   test("index size grows ~4x per granularity doubling") {
-    val data = TestGen.df(spark, 50, 3).cache()
+    val data = TestGen.df(spark, 50, 3)
     val spec = TestGen.specs(0)
     val s1 = GridIndex.build(data, spec, 8, 8).sizeBytes
     val s2 = GridIndex.build(data, spec, 16, 16).sizeBytes

@@ -37,8 +37,8 @@ class JobCountSpec extends SparkSpec {
     } finally sc.removeSparkListener(jobs)
   }
 
-  test("every solver runs one Spark job per call at n <= localThreshold") {
-    val data = TestGen.df(spark, 40, 21).cache()
+  test("every solver runs one Spark job per call") {
+    val data = TestGen.df(spark, 40, 21)
     data.count()
     val spec = TestGen.specs(3)
     val (a, b) = (10 / 64.0, 8 / 64.0)
@@ -54,7 +54,6 @@ class JobCountSpec extends SparkSpec {
       val (_, jobs, _) = traced(call())
       assert(jobs == 1, s"$name ran $jobs Spark jobs")
     }
-    data.unpersist()
   }
 
   test("DS-Search and DS-MaxRS run one Spark job and no window at n = 5,000 (F1, 10q)") {

@@ -15,7 +15,7 @@ class MaxRSSpec extends SparkSpec {
     LocalRects.collect(Rects.build(data.withColumn("__one", lit(1.0)), a, b, spec), spec)
 
   for (seed <- 1 to 8) test(s"DS-MaxRS and OE equal brute force (seed $seed)") {
-    val data = TestGen.df(spark, 35, seed).cache()
+    val data = TestGen.df(spark, 35, seed)
     val rng = new Random(seed * 41)
     val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
     val lr = rectsOf(data, a, b)
@@ -27,7 +27,6 @@ class MaxRSSpec extends SparkSpec {
     // returned locations achieve the count
     assert(BruteForce.evalPoint(lr, spec, ds.x, ds.y)(0) == brute.score)
     assert(BruteForce.evalPoint(lr, spec, oe.x, oe.y)(0) == brute.score)
-    data.unpersist()
   }
 
   test("all objects in one spot: count equals multiplicity") {

@@ -6,7 +6,7 @@ import repro.SparkSpec
 class SmokeSpec extends SparkSpec {
 
   test("all solvers agree on one instance") {
-    val data = TestGen.df(spark, 25, seed = 1).cache()
+    val data = TestGen.df(spark, 25, seed = 1)
     val spec = TestGen.specs(3)
     val a = 6.0 / 64; val b = 5.0 / 64
     val target = TestGen.target(spark, data, spec, a, b, seed = 1)
@@ -25,7 +25,7 @@ class SmokeSpec extends SparkSpec {
   }
 
   test("MaxRS solvers agree on one instance") {
-    val data = TestGen.df(spark, 30, seed = 2).cache()
+    val data = TestGen.df(spark, 30, seed = 2)
     val a = 8.0 / 64; val b = 8.0 / 64
     import org.apache.spark.sql.functions.lit
     val spec = CompositeAggregator.uniform(SumAgg("__one"))

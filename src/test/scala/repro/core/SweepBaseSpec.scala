@@ -10,7 +10,7 @@ class SweepBaseSpec extends SparkSpec {
 
   for (seed <- 1 to 6; specIdx <- Seq(0, 2, 3, 5))
     test(s"sweep equals brute force (seed $seed, spec $specIdx)") {
-      val data = TestGen.df(spark, 30, seed).cache()
+      val data = TestGen.df(spark, 30, seed)
       val spec = TestGen.specs(specIdx)
       val rng = new Random(seed * 53)
       val a = (rng.nextInt(14) + 4) / 64.0; val b = (rng.nextInt(14) + 4) / 64.0
@@ -34,7 +34,7 @@ class SweepBaseSpec extends SparkSpec {
   }
 
   test("sweep counts intervals") {
-    val data = TestGen.df(spark, 20, 2).cache()
+    val data = TestGen.df(spark, 20, 2)
     val spec = TestGen.specs(0)
     val lr = TestGen.localRects(data, 0.2, 0.2, spec)
     val r = SweepBase.solve(lr, spec, MinDistance(spec, Array(0.0, 0, 0)))
@@ -42,7 +42,7 @@ class SweepBaseSpec extends SparkSpec {
   }
 
   test("end-to-end solveASRS wrapper") {
-    val data = TestGen.df(spark, 25, 4).cache()
+    val data = TestGen.df(spark, 25, 4)
     val spec = TestGen.specs(3)
     val t = TestGen.target(spark, data, spec, 0.1, 0.1, 4)
     val viaDf = SweepBase.solveASRS(data, 0.1, 0.1, spec, t)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.collection.concurrent.TrieMap
 import scala.util.Random
 
 /** Deterministic small instances for correctness tests.
@@ -27,10 +28,16 @@ object TestGen {
     ))
   }
 
-  def df(spark: SparkSession, n: Int, seed: Long, res: Double = 1.0 / 64): DataFrame = {
-    import spark.implicits._
-    objs(n, seed, res).toDF("x", "y", "cat", "v", "w")
-  }
+  private val frames = TrieMap.empty[(Int, Long, Double), DataFrame]
+
+  /** [[objs]] as a cached DataFrame, made once per `(n, seed, res)`: tests
+    * share it and never cache or unpersist it themselves.
+    */
+  def df(spark: SparkSession, n: Int, seed: Long, res: Double = 1.0 / 64): DataFrame =
+    frames.getOrElseUpdate((n, seed, res), {
+      import spark.implicits._
+      objs(n, seed, res).toDF("x", "y", "cat", "v", "w").cache()
+    })
 
   /** A rotation of composite aggregators covering all kinds + selections. */
   def specs: Seq[CompositeAggregator] = Seq(
