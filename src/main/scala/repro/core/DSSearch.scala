@@ -90,7 +90,7 @@ final class DSSearch(
         state.stats.spacesProcessed += 1
         if (e.space.width > 0 && e.space.height > 0) {
           val grid = Grid(e.space, params.ncol, params.nrow)
-          val here = filterIdxs(lr, e.idxs, e.space)
+          val here = lr.overlapping(e.space, e.idxs)
           state.stats.localDiscretizations += 1
           val dirty = harvest(grid, Discretize.local(lr, here, grid, spec), state)
           val drop = 2 * grid.cw < dX && 2 * grid.ch < dY
@@ -140,10 +140,6 @@ final class DSSearch(
     }
     dirty.result()
   }
-
-  private def filterIdxs(lr: LocalRects, idxs: Array[Int], space: Box): Array[Int] =
-    idxs.filter(i => lr.xlo(i) < space.x1 && space.x0 < lr.xhi(i) &&
-                     lr.ylo(i) < space.y1 && space.y0 < lr.yhi(i))
 }
 
 object DSSearch {
@@ -174,16 +170,23 @@ object DSSearch {
   def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
             objective: Objective, params: SearchParams = SearchParams()): Result = {
     val q = PreparedQuery(objects, a, b, spec)
-    val state = new SearchState(objective, params.delta)
-    if (q.n == 0) return Result(0, 0, emptyScore(spec, objective), state.stats)
-
-    // Incumbent: the empty region, anchored strictly outside every rectangle.
-    state.offer(emptyScore(spec, objective), q.space.x1 + a, q.space.y1 + b)
-
-    seedIncumbent(q.local, spec, objective, state)
+    if (q.n == 0) return Result(0, 0, emptyScore(spec, objective), new SearchStats)
+    val state = start(q, spec, objective, params.delta)
     new DSSearch(spec, objective, params)
       .run(state, q, q.space, Array.range(0, q.n), initialBound(objective))
     Result(state.bestX, state.bestY, state.bestScore, state.stats)
+  }
+
+  /** A query's search state before its first pop, shared by DS-Search and
+    * GI-DS: the incumbent is the empty region, anchored strictly outside
+    * every rectangle, improved by [[seedIncumbent]].
+    */
+  def start(q: PreparedQuery, spec: CompositeAggregator,
+            objective: Objective, delta: Double): SearchState = {
+    val state = new SearchState(objective, delta)
+    state.offer(emptyScore(spec, objective), q.space.x1 + q.a, q.space.y1 + q.b)
+    seedIncumbent(q.local, spec, objective, state)
+    state
   }
 
   /** A bound no score can beat: where a search starts with nothing known. */

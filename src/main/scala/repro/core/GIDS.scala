@@ -6,14 +6,16 @@ import scala.collection.mutable
 /** Algorithm 2 (GI-DS) and its (1+δ)-approximate extension (§6).
   *
   * The grid index supplies a lower bound per index cell for all candidate
-  * regions bottom-left-located in it; cells are then searched best-first by
-  * DS-Search, sharing one incumbent, until the heap's top bound reaches
-  * `d_opt/(1+δ)` (δ = 0 ⇒ exact, Algorithm 2 line 5).
+  * regions bottom-left-located in it; cells are then searched in bound order
+  * by DS-Search, sharing one incumbent seeded as DS-Search seeds it
+  * ([[DSSearch.start]]), until the next bound reaches `d_opt/(1+δ)` (δ = 0 ⇒
+  * exact, Algorithm 2 line 5).
   *
-  * Orchestration note (DESIGN.md §2): the index build and the ASP reduction
-  * are distributed dataflows; the per-cell searches run on collected
-  * rectangles (each index cell holds a tiny fraction of them) via per-cell
-  * buckets, which is what makes GI-DS cheaper than plain DS-Search.
+  * Orchestration note (DESIGN.md §2): the index is built by Spark; the query
+  * is one collect of its rectangles, and the per-cell searches run on the
+  * driver over per-cell buckets of them. Bucketing every rectangle up front
+  * and searching each index cell on a full grid make GI-DS slower than plain
+  * DS-Search at n = 200k (ROADMAP item 7).
   */
 object GIDS {
 
@@ -25,11 +27,7 @@ object GIDS {
 
   def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
             target: Array[Double], index: GridIndex,
-            params: SearchParams = SearchParams()): Result =
-    run(objects, a, b, spec, MinDistance(spec, target), index, params)
-
-  def run(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
-          objective: Objective, index: GridIndex, params: SearchParams): Result = {
+            params: SearchParams = SearchParams()): Result = {
     require(index.spec.aggs == spec.aggs,
       s"the index was built for aggregators ${index.spec.aggs.mkString(", ")}, " +
       s"not the query's ${spec.aggs.mkString(", ")}")
@@ -38,10 +36,10 @@ object GIDS {
       s"the index was built from other data: ${index.n} objects with max (x, y) = " +
       s"(${index.maxX}, ${index.maxY}), not the query's ${q.n} with (${q.space.x1}, ${q.space.y1})")
     val lr = q.local
-    val state = new SearchState(objective, params.delta)
-    state.offer(DSSearch.emptyScore(spec, objective), q.space.x1 + a, q.space.y1 + b)
-
+    val objective = MinDistance(spec, target)
+    val state = DSSearch.start(q, spec, objective, params.delta)
     val ds = new DSSearch(spec, objective, params)
+    val all = Array.range(0, lr.n)
 
     // Boundary strips: candidate corners left of / below the index space
     // (their regions still overlap objects; the index cells cannot bound
@@ -49,7 +47,7 @@ object GIDS {
     val strips = Seq(
       Box(index.space.x0 - a, index.space.y0 - b, index.space.x0, index.space.y1),
       Box(index.space.x0, index.space.y0 - b, index.space.x1, index.space.y0))
-    strips.foreach(s => ds.run(state, q, s, lr.overlapping(s), DSSearch.initialBound(objective)))
+    strips.foreach(s => ds.run(state, q, s, lr.overlapping(s, all), DSSearch.initialBound(objective)))
 
     // Bucket rectangles by the index cells they overlap (one pass).
     val igrid = Grid(index.space, index.sx, index.sy)
@@ -67,30 +65,22 @@ object GIDS {
       r += 1
     }
 
-    // Lower bound every index cell, then search best-first (lines 2-7).
-    final case class CellEntry(bound: Double, ci: Int, cj: Int)
-    val ord: Ordering[CellEntry] =
-      if (objective.isMin) Ordering.by((e: CellEntry) => -e.bound)
-      else Ordering.by((e: CellEntry) => e.bound)
-    val heap = mutable.PriorityQueue.empty[CellEntry](ord)
-    var cj = 0
-    while (cj < index.sy) {
-      var ci = 0
-      while (ci < index.sx) {
-        val (lo, hi) = index.candidateBounds(ci, cj, a, b)
-        heap.enqueue(CellEntry(objective.bound(lo, hi), ci, cj))
-        ci += 1
-      }
-      cj += 1
+    // Lower bound every index cell `k = cj·sx + ci`, then search the cells in
+    // bound order while a bound can still beat the incumbent (lines 2-7).
+    // A cell that cannot beat the seeded incumbent is never searched, so only
+    // the others are sorted.
+    val bounds = Array.tabulate(index.sx * index.sy) { k =>
+      val (lo, hi) = index.candidateBounds(k % index.sx, k / index.sx, a, b)
+      objective.bound(lo, hi)
     }
-
+    val order = Array.range(0, bounds.length).filter(bounds(_) < state.threshold)
+      .sortBy(bounds(_))(Ordering.Double.TotalOrdering)
     var searched = 0
-    while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
-      val e = heap.dequeue()
+    while (searched < order.length && bounds(order(searched)) < state.threshold) {
+      val k = order(searched)
       searched += 1
-      ds.run(state, q, index.cellBox(e.ci, e.cj),
-             buckets(e.cj * index.sx + e.ci).toArray, e.bound)
+      ds.run(state, q, index.cellBox(k % index.sx, k / index.sx), buckets(k).toArray, bounds(k))
     }
-    Result(state.bestX, state.bestY, state.bestScore, searched, index.sx * index.sy, state.stats)
+    Result(state.bestX, state.bestY, state.bestScore, searched, bounds.length, state.stats)
   }
 }

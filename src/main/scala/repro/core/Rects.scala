@@ -42,10 +42,10 @@ object Rects {
 }
 
 /** One query's set-up, shared by every solver: the driver-side snapshot of
-  * its rectangles (one collect, the query's only Spark job), the ASP search
-  * space and ΔX/ΔY, both taken from the snapshot.
+  * its `a×b` rectangles (one collect, the query's only Spark job), the ASP
+  * search space and ΔX/ΔY, both taken from the snapshot.
   */
-final class PreparedQuery(val local: LocalRects) {
+final class PreparedQuery(val local: LocalRects, val a: Double, val b: Double) {
   def n: Int = local.n
   lazy val space: Box = Rects.searchSpace(local)
   lazy val accuracy: (Double, Double) = Accuracy.ofLocal(local)
@@ -53,7 +53,7 @@ final class PreparedQuery(val local: LocalRects) {
 
 object PreparedQuery {
   def apply(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator): PreparedQuery =
-    new PreparedQuery(LocalRects.collect(Rects.build(objects, a, b, spec), spec))
+    new PreparedQuery(LocalRects.collect(Rects.build(objects, a, b, spec), spec), a, b)
 }
 
 /** Struct-of-arrays snapshot of rectangles for the driver-local discretizer.
@@ -70,17 +70,10 @@ final class LocalRects(
 ) {
   def box(i: Int): Box = Box(xlo(i), ylo(i), xhi(i), yhi(i))
 
-  /** Indices of rectangles whose interior intersects `space`. */
-  def overlapping(space: Box): Array[Int] = {
-    val out = Array.newBuilder[Int]
-    var i = 0
-    while (i < n) {
-      if (xlo(i) < space.x1 && space.x0 < xhi(i) && ylo(i) < space.y1 && space.y0 < yhi(i))
-        out += i
-      i += 1
-    }
-    out.result()
-  }
+  /** Those of the rectangles `among` whose interior intersects `space`. */
+  def overlapping(space: Box, among: Array[Int]): Array[Int] =
+    among.filter(i => xlo(i) < space.x1 && space.x0 < xhi(i) &&
+                      ylo(i) < space.y1 && space.y0 < yhi(i))
 }
 
 object LocalRects {

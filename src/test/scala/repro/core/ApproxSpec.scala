@@ -43,7 +43,9 @@ class ApproxSpec extends SparkSpec {
     val data = repro.SynthData.pois(spark, 3000, seed = 21).cache()
     val spec = CompositeAggregator.uniform(DistAgg("dow", repro.SynthData.DowDomain))
     val a = 16.0 / 1024; val b = 16.0 / 1024
-    val target = Agg.representation(data, spec, Box(0.3, 0.6, 0.3 + a, 0.6 + b))
+    // Three more objects of every day than a real region holds: no region
+    // scores 0, so δ = 0 must search index cells and δ has room to prune.
+    val target = Agg.representation(data, spec, Box(0.9, 0.9, 0.9 + a, 0.9 + b)).map(_ + 3)
     val idx = GridIndex.build(data, spec, 16, 16)
     val work = Seq(0.0, 0.2, 0.4).map { d =>
       val r = GIDS.solve(data, a, b, spec, target, idx, SearchParams(delta = d))
@@ -51,6 +53,7 @@ class ApproxSpec extends SparkSpec {
     }
     val exactScore = work.head._4
     work.foreach { case (d, _, _, s) => assert(s <= (1 + d) * exactScore + 1e-9) }
+    assert(work.head._2 > 0, "δ=0 searched no index cell")
     assert(work(2)._2 <= work.head._2,
       s"δ=0.4 searched ${work(2)._2} cells > δ=0 searched ${work.head._2}")
   }

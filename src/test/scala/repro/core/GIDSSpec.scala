@@ -23,6 +23,22 @@ class GIDSSpec extends SparkSpec {
       assert(res.cellsSearched >= 0 && res.cellsSearched <= res.totalCells)
     }
 
+  test("GI-DS starts from DS-Search's seeded incumbent") {
+    val data = TestGen.df(spark, 35, 2)
+    val spec = TestGen.specs(3)
+    val (a, b) = (8 / 64.0, 8 / 64.0)
+    val lr = TestGen.localRects(data, a, b, spec)
+    // Rectangle 0's center is among the sampled seeds, so the seeded
+    // incumbent already scores 0 and nothing is left to search.
+    val target = BruteForce.evalPoint(lr, spec, (lr.xlo(0) + lr.xhi(0)) / 2, (lr.ylo(0) + lr.yhi(0)) / 2)
+    val gids = GIDS.solve(data, a, b, spec, target, GridIndex.build(data, spec, 8, 8))
+    assert(gids.score == 0.0 && gids.cellsSearched == 0 && gids.stats.spacesProcessed == 0,
+      s"GI-DS scored ${gids.score} after ${gids.cellsSearched} cells, ${gids.stats.spacesProcessed} spaces")
+    val ds = DSSearch.solveASRS(data, a, b, spec, target)
+    assert(ds.score == 0.0 && ds.stats.spacesProcessed == 0,
+      s"DS-Search scored ${ds.score} after ${ds.stats.spacesProcessed} spaces")
+  }
+
   test("optimum left of the index space is found (boundary strips)") {
     import spark.implicits._
     // Single pair of objects near the left edge: the best corner for a target

@@ -3,44 +3,68 @@ package repro.core
 import repro.{Oracle, SparkSpec}
 import scala.util.Random
 
-/** §5 grid index: Lemma 8 range counts against DuckDB, suffix-table
+/** §5 grid index: Lemma 8 range sums against DuckDB, suffix-table
   * consistency, and soundness of the per-cell candidate-region bounds.
   */
 class GridIndexSpec extends SparkSpec {
 
+  /** DuckDB expressions for the index's statistic columns of `spec`, in the
+    * index's column order, over the VARCHAR table `Oracle` loads.
+    */
+  private def statColumnsSql(spec: CompositeAggregator): Seq[String] = {
+    def sel(s: Option[Selection]) = s.map(x => s"${x.col} = '${x.value}'").getOrElse("TRUE")
+    def total(when: String, what: String) = s"COALESCE(SUM(CASE WHEN $when THEN $what ELSE 0 END), 0)"
+    spec.aggs.flatMap {
+      case DistAgg(attr, dom, s) => dom.map(d => total(s"$attr = '$d' AND ${sel(s)}", "1"))
+      case AvgAgg(attr, s) => Seq(total(sel(s), "1"), total(sel(s), s"CAST($attr AS DOUBLE)"))
+      case SumAgg(attr, s) =>
+        Seq(total(s"${sel(s)} AND CAST($attr AS DOUBLE) > 0", s"CAST($attr AS DOUBLE)"),
+            total(s"${sel(s)} AND CAST($attr AS DOUBLE) < 0", s"CAST($attr AS DOUBLE)"))
+    }
+  }
+
+  // Spec 3's f_D columns are spec 0's; spec 4 adds a selection to every kind.
   for (seed <- 1 to 4; g <- Seq(4, 8))
     test(s"Lemma 8 range counts match DuckDB (seed $seed, ${g}x$g)") {
       val data = TestGen.df(spark, 60, seed)
-      val spec = CompositeAggregator.uniform(DistAgg("cat", TestGen.Cats))
-      val idx = GridIndex.build(data, spec, g, g)
       val rng = new Random(seed * 11)
-      // random cell range [i0,i1) x [j0,j1): bounds from suffix tables must
-      // equal a direct count — query it through candidateBounds' plumbing by
-      // comparing against SQL over the coordinate range.
-      for (_ <- 1 to 5) {
-        val i0 = rng.nextInt(g); val i1 = i0 + 1 + rng.nextInt(g - i0)
-        val j0 = rng.nextInt(g); val j1 = j0 + 1 + rng.nextInt(g - j0)
-        val xLo = idx.space.x0 + i0 * idx.cw; val xHi = idx.space.x0 + i1 * idx.cw
-        val yLo = idx.space.y0 + j0 * idx.ch; val yHi = idx.space.y0 + j1 * idx.ch
-        // via the public API: a "candidate" whose bounding region is exactly
-        // this range is awkward; test the underlying invariant instead:
-        // count in the range = Σ cells = direct SQL count with half-open
-        // coordinate predicates (mirroring the build's floor assignment).
-        val xHiPred = if (i1 == idx.sx) s"CAST(x AS DOUBLE) <= ${idx.space.x1}"
-                      else s"CAST(x AS DOUBLE) < $xHi"
-        val yHiPred = if (j1 == idx.sy) s"CAST(y AS DOUBLE) <= ${idx.space.y1}"
-                      else s"CAST(y AS DOUBLE) < $yHi"
-        val sql = TestGen.Cats.zipWithIndex.map { case (c, k) =>
-          s"(SELECT COUNT(*) FROM t WHERE CAST(x AS DOUBLE) >= $xLo AND $xHiPred " +
-          s"AND CAST(y AS DOUBLE) >= $yLo AND $yHiPred AND cat = '$c') AS c$k"
-        }.mkString("SELECT ", ", ", "")
-        val viaIndex = idx.distRangeCounts(0, i0, i1, j0, j1).map(math.round)
-        import spark.implicits._
-        val sparkDf = Seq(viaIndex.toSeq).toDF("v")
-          .selectExpr(TestGen.Cats.indices.map(k => s"CAST(v[$k] AS BIGINT) AS c$k"): _*)
-        Oracle.assertEquivalent(sparkDf, sql, "t" -> data)
+      for (spec <- Seq(TestGen.specs(3), TestGen.specs(4))) {
+        val idx = GridIndex.build(data, spec, g, g)
+        val cols = statColumnsSql(spec)
+        // Every statistic column summed over a random cell range
+        // [i0,i1) x [j0,j1) from the suffix tables must equal a direct SQL
+        // sum with half-open coordinate predicates (mirroring the build's
+        // floor assignment).
+        for (_ <- 1 to 5) {
+          val i0 = rng.nextInt(g); val i1 = i0 + 1 + rng.nextInt(g - i0)
+          val j0 = rng.nextInt(g); val j1 = j0 + 1 + rng.nextInt(g - j0)
+          val xLo = idx.space.x0 + i0 * idx.cw; val xHi = idx.space.x0 + i1 * idx.cw
+          val yLo = idx.space.y0 + j0 * idx.ch; val yHi = idx.space.y0 + j1 * idx.ch
+          val xHiPred = if (i1 == idx.sx) s"CAST(x AS DOUBLE) <= ${idx.space.x1}"
+                        else s"CAST(x AS DOUBLE) < $xHi"
+          val yHiPred = if (j1 == idx.sy) s"CAST(y AS DOUBLE) <= ${idx.space.y1}"
+                        else s"CAST(y AS DOUBLE) < $yHi"
+          val sql = cols.zipWithIndex.map { case (c, k) => s"CAST($c AS DOUBLE) AS c$k" }
+            .mkString("SELECT ", ", ", s" FROM t WHERE CAST(x AS DOUBLE) >= $xLo AND $xHiPred " +
+                                       s"AND CAST(y AS DOUBLE) >= $yLo AND $yHiPred")
+          val viaIndex = cols.indices.map(k => idx.range(k, i0, i1, j0, j1))
+          import spark.implicits._
+          val sparkDf = Seq(viaIndex).toDF("v").selectExpr(cols.indices.map(k => s"v[$k] AS c$k"): _*)
+          Oracle.assertEquivalent(sparkDf, sql, "t" -> data)
+        }
       }
     }
+
+  test("an f_A selection matching no object builds and bounds [0, 0] in every cell") {
+    val data = TestGen.df(spark, 40, 5)
+    val spec = CompositeAggregator.uniform(
+      DistAgg("cat", TestGen.Cats), AvgAgg("v", Some(Selection("cat", "Z"))))
+    val idx = GridIndex.build(data, spec, 4, 4)
+    for (ci <- 0 until 4; cj <- 0 until 4) {
+      val (lo, hi) = idx.candidateBounds(ci, cj, 8 / 64.0, 8 / 64.0)
+      assert(lo(3) == 0.0 && hi(3) == 0.0, s"cell ($ci,$cj): f_A bound [${lo(3)}, ${hi(3)}]")
+    }
+  }
 
   for (seed <- 1 to 6; specIdx <- Seq(0, 3, 4))
     test(s"candidate-region bounds are sound (seed $seed, spec $specIdx)") {

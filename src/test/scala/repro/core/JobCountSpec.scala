@@ -10,7 +10,8 @@ import repro.exp.Experiments
 import scala.jdk.CollectionConverters._
 
 /** Spark jobs per solver call: every query is set up by one collect of its
-  * rectangles, and every solver searches on the driver.
+  * rectangles, and every solver searches on the driver. An index build is
+  * two aggregations.
   */
 class JobCountSpec extends SparkSpec {
 
@@ -54,6 +55,15 @@ class JobCountSpec extends SparkSpec {
       val (_, jobs, _) = traced(call())
       assert(jobs == 1, s"$name ran $jobs Spark jobs")
     }
+  }
+
+  test("GridIndex.build runs two Spark queries (f_D + f_A + f_S)") {
+    val data = TestGen.df(spark, 40, 21)
+    data.count()
+    val (_, jobs, plans) = traced(GridIndex.build(data, TestGen.specs(3), 8, 8))
+    assert(plans.size == 2, s"GridIndex.build ran ${plans.size} Spark queries")
+    // Both aggregate through a shuffle: a map-stage job and a result job each.
+    assert(jobs == 4, s"GridIndex.build ran $jobs Spark jobs")
   }
 
   test("DS-Search and DS-MaxRS run one Spark job and no window at n = 5,000 (F1, 10q)") {
