@@ -68,9 +68,4 @@ object SynthData {
       (rand(seed + 13) * 500 + 1).cast(LongType) as "visits",
     )
   }
-
-  /** Uniform (cluster-free) POIs — the easy case for pruning studies. */
-  def poisUniform(spark: SparkSession, n: Long, seed: Long = 7,
-                  resolution: Double = 1.0 / 1024): DataFrame =
-    pois(spark, n, seed, resolution, clusters = 1, clusterFrac = 0.0)
 }

@@ -4,16 +4,11 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.lit
 import scala.collection.mutable
 
-/** Knobs of Algorithm 1. `ncol×nrow` is the discretization grid (paper §7.2
-  * finds 30×30 best). `delta` is the (1+δ) approximation slack (§6, 0 =
-  * exact); `maxSpaces` is a runaway safeguard. Every popped space is
-  * discretized on the driver over the query's collected rectangles
-  * (DESIGN.md §2).
+/** The one search setting: `delta` is the (1+δ) approximation slack (§6,
+  * 0 = exact), which app-GIDS sets. The grid side and the runaway cap are
+  * the constants [[DSSearch.GridSide]] and [[DSSearch.MaxSpaces]].
   */
-final case class SearchParams(
-    ncol: Int = 30, nrow: Int = 30,
-    delta: Double = 0.0,
-    maxSpaces: Int = 2_000_000) {
+final case class SearchParams(delta: Double = 0.0) {
 
   /** Always `Long.MaxValue`: kept only for perfbench's traced run, until the
     * next change to the benchmark drops its read.
@@ -25,7 +20,7 @@ final class SearchStats {
   var localDiscretizations = 0
   var spacesProcessed = 0
   var cellsEvaluated = 0L
-  var truncated = false // maxSpaces safeguard fired (never in a healthy run)
+  var truncated = false // MaxSpaces safeguard fired (never in a healthy run)
 
   /** Always 0: kept only for perfbench's traced run, until the next change to
     * the benchmark drops its read.
@@ -36,31 +31,23 @@ final class SearchStats {
     s"spaces=$spacesProcessed local=$localDiscretizations cells=$cellsEvaluated"
 }
 
-/** Mutable incumbent shared across DS-Search invocations (GI-DS reuses one
-  * state over many index cells so pruning compounds, Algorithm 2).
+/** Algorithm 1, DS-Search, for one query `q`: best-first loop over spaces
+  * kept in a heap, discretize each popped space on the driver over the
+  * query's collected rectangles (DESIGN.md §2), harvest clean cells, prune
+  * dirty cells by bound, split survivors (Function Split) unless the drop
+  * condition (Def. 8) holds.
+  *
+  * The object owns the query's incumbent. It starts as the empty region,
+  * anchored strictly outside every rectangle, improved by a sample of
+  * rectangle centres; GI-DS then [[run]]s it over many index cells so that
+  * pruning compounds (Algorithm 2).
   */
-final class SearchState(val objective: Objective, val delta: Double) {
+final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
+                     objective: Objective, delta: Double) {
   var bestScore: Double = objective.worst
   var bestX: Double = Double.NaN
   var bestY: Double = Double.NaN
   val stats = new SearchStats
-
-  /** Bounds must beat this to survive (d_opt/(1+δ) for distances, §6). */
-  def threshold: Double = objective.threshold(bestScore, delta)
-
-  def offer(score: Double, x: Double, y: Double): Unit =
-    if (objective.better(score, bestScore)) { bestScore = score; bestX = x; bestY = y }
-}
-
-/** Algorithm 1, DS-Search: best-first loop over spaces kept in a heap,
-  * discretize each popped space, harvest clean cells, prune dirty cells by
-  * bound, split survivors (Function Split) unless the drop condition
-  * (Def. 8) holds.
-  */
-final class DSSearch(
-    spec: CompositeAggregator,
-    objective: Objective,
-    params: SearchParams = SearchParams()) {
 
   /** A space to search: `idxs` are rectangles of the query's snapshot, a
     * superset of those overlapping it.
@@ -70,35 +57,49 @@ final class DSSearch(
   private val entryOrd: Ordering[Entry] =
     if (objective.isMin) Ordering.by((e: Entry) => -e.bound) else Ordering.by((e: Entry) => e.bound)
 
-  /** Search `space` on the driver, updating `state`: `idxs` of `q.local`
-    * include every rectangle overlapping it, and no point in it scores better
-    * than `bound`. DS-Search passes the whole space; GI-DS one index cell or
+  // Reused by every harvest: a cell's exact vector or its bounding vectors.
+  private val vec = new Array[Double](spec.dim)
+  private val lo = new Array[Double](spec.dim)
+  private val hi = new Array[Double](spec.dim)
+
+  // Every field above is set: seed the incumbent before the first run.
+  offer(DSSearch.emptyScore(spec, objective), q.space.x1 + q.a, q.space.y1 + q.b)
+  seedIncumbent()
+
+  /** Bounds must beat this to survive (d_opt/(1+δ) for distances, §6). */
+  def threshold: Double = objective.threshold(bestScore, delta)
+
+  private def offer(score: Double, x: Double, y: Double): Unit =
+    if (objective.better(score, bestScore)) { bestScore = score; bestX = x; bestY = y }
+
+  /** Search `space`, updating the incumbent: `idxs` of `q.local` include
+    * every rectangle overlapping it, and no point in it scores better than
+    * `bound`. DS-Search passes the whole space; GI-DS one index cell or
     * boundary strip at a time.
     */
-  def run(state: SearchState, q: PreparedQuery, space: Box,
-          idxs: Array[Int], bound: Double): Unit = {
+  def run(space: Box, idxs: Array[Int], bound: Double): Unit = {
     val lr = q.local
     val (dX, dY) = q.accuracy
     val heap = mutable.PriorityQueue(Entry(bound, space, idxs))(entryOrd)
-    while (heap.nonEmpty && objective.better(heap.head.bound, state.threshold)) {
-      if (state.stats.spacesProcessed >= params.maxSpaces) {
-        state.stats.truncated = true
-        Console.err.println(s"[DSSearch] maxSpaces=${params.maxSpaces} hit — result may be approximate")
+    while (heap.nonEmpty && objective.better(heap.head.bound, threshold)) {
+      if (stats.spacesProcessed >= DSSearch.MaxSpaces) {
+        stats.truncated = true
+        Console.err.println(s"[DSSearch] MaxSpaces=${DSSearch.MaxSpaces} hit — result may be approximate")
         heap.clear()
       } else {
         val e = heap.dequeue()
-        state.stats.spacesProcessed += 1
+        stats.spacesProcessed += 1
         if (e.space.width > 0 && e.space.height > 0) {
-          val grid = Grid(e.space, params.ncol, params.nrow)
+          val grid = Grid(e.space, DSSearch.GridSide, DSSearch.GridSide)
           val here = lr.overlapping(e.space, e.idxs)
-          state.stats.localDiscretizations += 1
-          val dirty = harvest(grid, Discretize.local(lr, here, grid, spec), state)
+          stats.localDiscretizations += 1
+          val dirty = harvest(grid, Discretize.local(lr, here, grid, spec))
           val drop = 2 * grid.cw < dX && 2 * grid.ch < dY
           if (!drop && dirty.nonEmpty) {
             val children = SplitHeuristic.split(dirty, objective)
               .flatMap(SplitHeuristic.ensureProgress(_, e.space))
             children.foreach { c =>
-              if (objective.better(c.bound, state.threshold))
+              if (objective.better(c.bound, threshold))
                 heap.enqueue(Entry(c.bound, c.mbr, here))
             }
           }
@@ -107,31 +108,25 @@ final class DSSearch(
     }
   }
 
-  // Reused by every harvest: a cell's exact vector or its bounding vectors.
-  private val vec = new Array[Double](spec.dim)
-  private val lo = new Array[Double](spec.dim)
-  private val hi = new Array[Double](spec.dim)
-
   /** Evaluate every cell of the grid: clean cells refine the incumbent, dirty
     * cells surviving the bound check are returned for splitting.
     */
-  private def harvest(grid: Grid, cells: CellStats,
-                      state: SearchState): IndexedSeq[SplitHeuristic.DirtyCell] = {
+  private def harvest(grid: Grid, cells: CellStats): IndexedSeq[SplitHeuristic.DirtyCell] = {
     val dirty = IndexedSeq.newBuilder[SplitHeuristic.DirtyCell]
     var j = 0
     while (j < grid.nrow) {
       var i = 0
       while (i < grid.ncol) {
-        state.stats.cellsEvaluated += 1
+        stats.cellsEvaluated += 1
         val slot = grid.flat(i, j)
         val box = grid.cellBox(i, j)
         if (!cells.isDirty(slot)) {
           cells.exact(slot, vec)
-          state.offer(objective.score(vec), box.centerX, box.centerY)
+          offer(objective.score(vec), box.centerX, box.centerY)
         } else {
           cells.bounds(slot, lo, hi)
           val b = objective.bound(lo, hi)
-          if (objective.better(b, state.threshold))
+          if (objective.better(b, threshold))
             dirty += SplitHeuristic.DirtyCell(box, b)
         }
         i += 1
@@ -140,9 +135,39 @@ final class DSSearch(
     }
     dirty.result()
   }
+
+  /** Pre-seed the incumbent by scoring a deterministic sample of achievable
+    * candidate points (rectangle centers). Sound for any objective — each
+    * offer is a real point's score — and vital for MaxCount, where the
+    * search otherwise starts with best = 0 and no pruning leverage until
+    * clean cells appear deep in the recursion.
+    */
+  private def seedIncumbent(): Unit = {
+    val lr = q.local
+    if (lr.n == 0) return
+    val k = math.max(16, math.min(512, (2e7 / lr.n).toInt))
+    val step = math.max(1, lr.n / k)
+    var i = 0
+    while (i < lr.n) {
+      val px = (lr.xlo(i) + lr.xhi(i)) / 2
+      val py = (lr.ylo(i) + lr.yhi(i)) / 2
+      offer(objective.score(BruteForce.evalPoint(lr, spec, px, py)), px, py)
+      i += step
+    }
+  }
 }
 
 object DSSearch {
+
+  /** Side of the grid laid over every popped space (paper §7.2 finds 30×30
+    * best).
+    */
+  val GridSide = 30
+
+  /** Runaway safeguard: a search stops, marked truncated, after this many
+    * spaces.
+    */
+  val MaxSpaces = 2_000_000
 
   /** Answer to an ASRS/MaxRS query: the candidate point (bottom-left corner
     * of the returned region) and its score, plus search statistics.
@@ -151,42 +176,26 @@ object DSSearch {
     def region(a: Double, b: Double): Box = Box(x, y, x + a, y + b)
   }
 
-  /** End-to-end ASRS solve (Algorithm 1): reduce, compute accuracies, seed
-    * the incumbent with the empty region (a point outside every rectangle —
-    * the optimum may well be an object-free region) and a sample of
-    * rectangle centers, then search.
+  /** End-to-end ASRS solve (Algorithm 1): one collect of the query's
+    * rectangles, a seeded incumbent, then the search of the whole space.
     */
   def solveASRS(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
-                target: Array[Double], params: SearchParams = SearchParams()): Result =
-    solve(objects, a, b, spec, MinDistance(spec, target), params)
+                target: Array[Double]): Result =
+    solve(objects, a, b, spec, MinDistance(spec, target))
 
   /** MaxRS solve (§7.5): count objective over a constant-1 sum aggregator. */
-  def solveMaxRS(objects: DataFrame, a: Double, b: Double,
-                 params: SearchParams = SearchParams()): Result = {
+  def solveMaxRS(objects: DataFrame, a: Double, b: Double): Result = {
     val spec = CompositeAggregator.uniform(SumAgg("__one"))
-    solve(objects.withColumn("__one", lit(1.0)), a, b, spec, MaxCount(), params)
+    solve(objects.withColumn("__one", lit(1.0)), a, b, spec, MaxCount())
   }
 
   def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
-            objective: Objective, params: SearchParams = SearchParams()): Result = {
+            objective: Objective): Result = {
     val q = PreparedQuery(objects, a, b, spec)
     if (q.n == 0) return Result(0, 0, emptyScore(spec, objective), new SearchStats)
-    val state = start(q, spec, objective, params.delta)
-    new DSSearch(spec, objective, params)
-      .run(state, q, q.space, Array.range(0, q.n), initialBound(objective))
-    Result(state.bestX, state.bestY, state.bestScore, state.stats)
-  }
-
-  /** A query's search state before its first pop, shared by DS-Search and
-    * GI-DS: the incumbent is the empty region, anchored strictly outside
-    * every rectangle, improved by [[seedIncumbent]].
-    */
-  def start(q: PreparedQuery, spec: CompositeAggregator,
-            objective: Objective, delta: Double): SearchState = {
-    val state = new SearchState(objective, delta)
-    state.offer(emptyScore(spec, objective), q.space.x1 + q.a, q.space.y1 + q.b)
-    seedIncumbent(q.local, spec, objective, state)
-    state
+    val ds = new DSSearch(q, spec, objective, delta = 0.0)
+    ds.run(q.space, Array.range(0, q.n), initialBound(objective))
+    Result(ds.bestX, ds.bestY, ds.bestScore, ds.stats)
   }
 
   /** A bound no score can beat: where a search starts with nothing known. */
@@ -196,24 +205,4 @@ object DSSearch {
   /** Score of an object-free region, whose representation is all zeros. */
   def emptyScore(spec: CompositeAggregator, objective: Objective): Double =
     objective.score(new Array[Double](spec.dim))
-
-  /** Pre-seed the incumbent by scoring a deterministic sample of achievable
-    * candidate points (rectangle centers). Sound for any objective — each
-    * offer is a real point's score — and vital for MaxCount, where the
-    * search otherwise starts with best = 0 and no pruning leverage until
-    * clean cells appear deep in the recursion.
-    */
-  private def seedIncumbent(lr: LocalRects, spec: CompositeAggregator,
-                            objective: Objective, state: SearchState): Unit = {
-    if (lr.n == 0) return
-    val k = math.max(16, math.min(512, (2e7 / lr.n).toInt))
-    val step = math.max(1, lr.n / k)
-    var i = 0
-    while (i < lr.n) {
-      val px = (lr.xlo(i) + lr.xhi(i)) / 2
-      val py = (lr.ylo(i) + lr.yhi(i)) / 2
-      state.offer(objective.score(BruteForce.evalPoint(lr, spec, px, py)), px, py)
-      i += step
-    }
-  }
 }

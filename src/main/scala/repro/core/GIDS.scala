@@ -7,9 +7,9 @@ import scala.collection.mutable
   *
   * The grid index supplies a lower bound per index cell for all candidate
   * regions bottom-left-located in it; cells are then searched in bound order
-  * by DS-Search, sharing one incumbent seeded as DS-Search seeds it
-  * ([[DSSearch.start]]), until the next bound reaches `d_opt/(1+δ)` (δ = 0 ⇒
-  * exact, Algorithm 2 line 5).
+  * by one [[DSSearch]] object, whose incumbent is seeded as for DS-Search
+  * and shared by every cell, until the next bound reaches `d_opt/(1+δ)`
+  * (δ = 0 ⇒ exact, Algorithm 2 line 5).
   *
   * Orchestration note (DESIGN.md §2): the index is built by Spark; the query
   * is one collect of its rectangles, and the per-cell searches run on the
@@ -22,7 +22,6 @@ object GIDS {
   final case class Result(x: Double, y: Double, score: Double,
                           cellsSearched: Int, totalCells: Int, stats: SearchStats) {
     def ratioSearched: Double = cellsSearched.toDouble / totalCells
-    def region(a: Double, b: Double): Box = Box(x, y, x + a, y + b)
   }
 
   def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
@@ -37,8 +36,7 @@ object GIDS {
       s"(${index.maxX}, ${index.maxY}), not the query's ${q.n} with (${q.space.x1}, ${q.space.y1})")
     val lr = q.local
     val objective = MinDistance(spec, target)
-    val state = DSSearch.start(q, spec, objective, params.delta)
-    val ds = new DSSearch(spec, objective, params)
+    val ds = new DSSearch(q, spec, objective, params.delta)
     val all = Array.range(0, lr.n)
 
     // Boundary strips: candidate corners left of / below the index space
@@ -47,7 +45,7 @@ object GIDS {
     val strips = Seq(
       Box(index.space.x0 - a, index.space.y0 - b, index.space.x0, index.space.y1),
       Box(index.space.x0, index.space.y0 - b, index.space.x1, index.space.y0))
-    strips.foreach(s => ds.run(state, q, s, lr.overlapping(s, all), DSSearch.initialBound(objective)))
+    strips.foreach(ds.run(_, all, DSSearch.initialBound(objective)))
 
     // Bucket rectangles by the index cells they overlap (one pass).
     val igrid = Grid(index.space, index.sx, index.sy)
@@ -73,14 +71,14 @@ object GIDS {
       val (lo, hi) = index.candidateBounds(k % index.sx, k / index.sx, a, b)
       objective.bound(lo, hi)
     }
-    val order = Array.range(0, bounds.length).filter(bounds(_) < state.threshold)
+    val order = Array.range(0, bounds.length).filter(bounds(_) < ds.threshold)
       .sortBy(bounds(_))(Ordering.Double.TotalOrdering)
     var searched = 0
-    while (searched < order.length && bounds(order(searched)) < state.threshold) {
+    while (searched < order.length && bounds(order(searched)) < ds.threshold) {
       val k = order(searched)
       searched += 1
-      ds.run(state, q, index.cellBox(k % index.sx, k / index.sx), buckets(k).toArray, bounds(k))
+      ds.run(index.cellBox(k % index.sx, k / index.sx), buckets(k).toArray, bounds(k))
     }
-    Result(state.bestX, state.bestY, state.bestScore, searched, bounds.length, state.stats)
+    Result(ds.bestX, ds.bestY, ds.bestScore, searched, bounds.length, ds.stats)
   }
 }

@@ -73,7 +73,4 @@ final case class Grid(space: Box, ncol: Int, nrow: Int) {
     if (origin + b * step >= hi) b -= 1 // hi sits exactly on a boundary
     (math.max(0, a), math.min(n - 1, b))
   }
-
-  /** True iff the rectangle `r` fully contains cell `(i, j)`. */
-  def fullyCovers(r: Box, i: Int, j: Int): Boolean = r.containsBox(cellBox(i, j))
 }

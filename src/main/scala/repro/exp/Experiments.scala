@@ -59,8 +59,7 @@ object Experiments {
 
   def table1(spark: SparkSession, n: Long,
              granularities: Seq[Int] = Seq(64, 128, 256),
-             ks: Seq[Int] = Seq(1, 4, 7, 10),
-             params: SearchParams = SearchParams()): Seq[Table1Row] = {
+             ks: Seq[Int] = Seq(1, 4, 7, 10)): Seq[Table1Row] = {
     val data = SynthData.pois(spark, n).cache()
     data.count()
     val rows = for (g <- granularities) yield {
@@ -68,7 +67,7 @@ object Experiments {
       for (k <- ks) yield {
         val a = k * unit(); val b = k * unit()
         val target = f1Target(data, a, b)
-        val (res, ms) = timeMs(GIDS.solve(data, a, b, F1, target, idx, params))
+        val (res, ms) = timeMs(GIDS.solve(data, a, b, F1, target, idx))
         Table1Row(g, k, res.ratioSearched, idx.sizeBytes / 1e6, ms, res.score)
       }
     }
@@ -123,7 +122,7 @@ object Experiments {
   }
 
   def speedup(spark: SparkSession, ns: Seq[Long], k: Int,
-              useF2: Boolean, params: SearchParams = SearchParams()): Seq[SpeedupRow] =
+              useF2: Boolean): Seq[SpeedupRow] =
     ns.map { n =>
       val data = SynthData.pois(spark, n).cache()
       data.count()
@@ -131,7 +130,7 @@ object Experiments {
       val (spec, target) =
         if (useF2) f2AndTarget(data, a, b) else (F1, f1Target(data, a, b))
       val (baseRes, baseMs) = timeMs(SweepBase.solveASRS(data, a, b, spec, target))
-      val (dsRes, dsMs) = timeMs(DSSearch.solveASRS(data, a, b, spec, target, params))
+      val (dsRes, dsMs) = timeMs(DSSearch.solveASRS(data, a, b, spec, target))
       data.unpersist()
       SpeedupRow(n, k, if (useF2) "F2" else "F1", baseMs, dsMs,
                  baseMs.toDouble / math.max(1, dsMs),
@@ -143,14 +142,13 @@ object Experiments {
   final case class MaxRSRow(n: Long, k: Int, oeMs: Long, dsMs: Long,
                             count: Long, agreed: Boolean)
 
-  def maxrs(spark: SparkSession, ns: Seq[Long], k: Int,
-            params: SearchParams = SearchParams()): Seq[MaxRSRow] =
+  def maxrs(spark: SparkSession, ns: Seq[Long], k: Int): Seq[MaxRSRow] =
     ns.map { n =>
       val data = SynthData.pois(spark, n).cache()
       data.count()
       val a = k * unit(); val b = k * unit()
       val (oeRes, oeMs) = timeMs(MaxRSOE.solveMaxRS(data, a, b))
-      val (dsRes, dsMs) = timeMs(DSSearch.solveMaxRS(data, a, b, params))
+      val (dsRes, dsMs) = timeMs(DSSearch.solveMaxRS(data, a, b))
       data.unpersist()
       MaxRSRow(n, k, oeMs, dsMs, oeRes.count, oeRes.count.toDouble == dsRes.score)
     }

@@ -41,7 +41,7 @@ class SynthDataSpec extends SparkSpec {
 
   test("clusters produce spatial skew; uniform does not") {
     val clustered = SynthData.pois(spark, 5000, seed = 5)
-    val uniform = SynthData.poisUniform(spark, 5000, seed = 5)
+    val uniform = SynthData.pois(spark, 5000, seed = 5, clusters = 1, clusterFrac = 0.0)
     def maxCellCount(df: org.apache.spark.sql.DataFrame): Long =
       df.select((floor(col("x") * 8) + floor(col("y") * 8) * 8).as("c"))
         .groupBy("c").count().agg(max("count")).collect()(0).getLong(0)

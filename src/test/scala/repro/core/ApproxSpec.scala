@@ -4,7 +4,8 @@ import repro.SparkSpec
 import scala.util.Random
 
 /** app-GIDS (§6): the returned region's distance is within (1+δ) of the
-  * optimum (Theorem 3), and larger δ never searches more cells.
+  * optimum (Theorem 3). On one instance, δ = 0.4 searches no more index
+  * cells than δ = 0; cells searched is not monotone in δ in general.
   */
 class ApproxSpec extends SparkSpec {
 
@@ -39,7 +40,7 @@ class ApproxSpec extends SparkSpec {
     assert(exact.score == alsoExact.score)
   }
 
-  test("larger δ prunes at least as hard (work is monotone non-increasing)") {
+  test("δ = 0.4 searches no more index cells than δ = 0") {
     val data = repro.SynthData.pois(spark, 3000, seed = 21).cache()
     val spec = CompositeAggregator.uniform(DistAgg("dow", repro.SynthData.DowDomain))
     val a = 16.0 / 1024; val b = 16.0 / 1024

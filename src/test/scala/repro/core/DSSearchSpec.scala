@@ -5,11 +5,11 @@ import scala.util.Random
 
 /** DS-Search (Algorithm 1) returns the exact optimum (Lemma 7): compared
   * against brute-force enumeration of all disjoint regions across sizes,
-  * aggregators, weights and grid granularities.
+  * aggregators and weights.
   */
 class DSSearchSpec extends SparkSpec {
 
-  private def check(seed: Int, specIdx: Int, n: Int, params: SearchParams): Unit = {
+  private def check(seed: Int, specIdx: Int, n: Int): Unit = {
     val data = TestGen.df(spark, n, seed)
     val spec = TestGen.specs(specIdx)
     val rng = new Random(seed * 101 + specIdx)
@@ -17,7 +17,7 @@ class DSSearchSpec extends SparkSpec {
     val target = TestGen.target(spark, data, spec, a, b, seed)
     val lr = TestGen.localRects(data, a, b, spec)
     val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
-    val ds = DSSearch.solveASRS(data, a, b, spec, target, params)
+    val ds = DSSearch.solveASRS(data, a, b, spec, target)
     assert(math.abs(ds.score - brute.score) < 1e-9,
       s"DS ${ds.score} vs brute ${brute.score} (seed=$seed spec=$specIdx a=$a b=$b)")
     // the reported point must actually achieve the reported score
@@ -28,14 +28,7 @@ class DSSearchSpec extends SparkSpec {
   // Exactness across all aggregator shapes.
   for (seed <- 1 to 5; specIdx <- TestGen.specs.indices)
     test(s"exact vs brute, local path (seed $seed, spec $specIdx)") {
-      check(seed, specIdx, n = 30, SearchParams())
-    }
-
-  // Different grid granularities must not change the answer.
-  for (g <- Seq(5, 12, 40))
-    test(s"exact under ${g}x$g discretization grid") {
-      check(seed = 11, specIdx = 3, n = 28,
-            SearchParams(ncol = g, nrow = g))
+      check(seed, specIdx, n = 30)
     }
 
   test("empty dataset returns the empty representation") {

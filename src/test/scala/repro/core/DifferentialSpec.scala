@@ -1,19 +1,21 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 import scala.util.Random
 
 /** A seeded differential net at n = 1,000 (duplicate-heavy on the 1/64
   * lattice): DS-Search and GI-DS equal the Base sweep, and app-GIDS keeps its
-  * (1+δ) guarantee, for every test spec, on reachable and unreachable targets
-  * and on a query larger than the data's extent.
+  * (1+δ) guarantee, for every test spec, on reachable and unreachable targets,
+  * on a query larger than the data's extent and on collinear data.
   */
 class DifferentialSpec extends SparkSpec {
 
   private val Delta = 0.2
 
-  private def check(spec: CompositeAggregator, a: Double, b: Double, target: Array[Double]): Unit = {
-    val data = TestGen.df(spark, 1000, 1)
+  private def check(data: DataFrame, spec: CompositeAggregator,
+                    a: Double, b: Double, target: Array[Double]): Unit = {
     val d = SweepBase.solve(TestGen.localRects(data, a, b, spec), spec, MinDistance(spec, target)).score
     val tol = 1e-9 * math.max(1.0, math.abs(d))
     val ds = DSSearch.solveASRS(data, a, b, spec, target)
@@ -36,14 +38,35 @@ class DifferentialSpec extends SparkSpec {
     test(s"DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 (spec $k)") {
       val rng = new Random(k * 101 + 5)
       val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
-      val target = TestGen.target(spark, TestGen.df(spark, 1000, 1), spec, a, b, k + 1)
-      check(spec, a, b, target)
-      check(spec, a, b, unreachable(target))
+      val data = TestGen.df(spark, 1000, 1)
+      val target = TestGen.target(spark, data, spec, a, b, k + 1)
+      check(data, spec, a, b, target)
+      check(data, spec, a, b, unreachable(target))
     }
 
   test("DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 on a query larger than the extent") {
     val spec = TestGen.specs(3)
-    val target = TestGen.target(spark, TestGen.df(spark, 1000, 1), spec, 0.5, 0.75, 7)
-    check(spec, 1.25, 1.5, unreachable(target))
+    val data = TestGen.df(spark, 1000, 1)
+    val target = TestGen.target(spark, data, spec, 0.5, 0.75, 7)
+    check(data, spec, 1.25, 1.5, unreachable(target))
   }
+
+  // Every object on the line x = 0.5 (or y = 0.5): the objects' bbox, and so
+  // the grid index's space, has zero width (or height).
+  for ((axis, k) <- Seq(("x", 3), ("x", 1), ("y", 4)))
+    test(s"DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 on collinear data ($axis = 0.5, spec $k)") {
+      val data = TestGen.df(spark, 1000, 1).withColumn(axis, lit(0.5))
+      val spec = TestGen.specs(k)
+      val rng = new Random(k * 101 + 5)
+      val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
+      // The target region straddles the line, so it holds objects; its other
+      // coordinate is random, off the lattice, as in `TestGen.target`.
+      val c = rng.nextDouble() * 0.75
+      val region =
+        if (axis == "x") Box(0.5 - a / 2, c, 0.5 + a / 2, c + b)
+        else Box(c, 0.5 - b / 2, c + a, 0.5 + b / 2)
+      val target = Agg.representation(data, spec, region)
+      check(data, spec, a, b, target)
+      check(data, spec, a, b, unreachable(target))
+    }
 }
