@@ -6,7 +6,7 @@ import repro.exp.Experiments
 /** Shared session bootstrap for spark-submit entrypoints. */
 object Jobs {
   def session(app: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -49,9 +49,9 @@ object SynthData {
       cid as "cid",
       bg  as "bg",
       when(bg, rand(seed + 3))
-        .otherwise(element_at(array(cx.map(lit): _*), cid + 1) + randn(seed + 4) * 0.04) as "xr",
+        .otherwise(element_at(array(cx.toIndexedSeq.map(lit): _*), cid + 1) + randn(seed + 4) * 0.04) as "xr",
       when(bg, rand(seed + 5))
-        .otherwise(element_at(array(cy.map(lit): _*), cid + 1) + randn(seed + 6) * 0.04) as "yr",
+        .otherwise(element_at(array(cy.toIndexedSeq.map(lit): _*), cid + 1) + randn(seed + 6) * 0.04) as "yr",
     ).select(
       $"id",
       snap($"xr") as "x",

@@ -40,14 +40,14 @@ object BruteForce {
 
   final case class Best(x: Double, y: Double, score: Double, vec: Array[Double])
 
-  def solve(lr: LocalRects, spec: CompositeAggregator, objective: Objective): Best = {
+  def solve(lr: LocalRects, spec: CompositeAggregator, objective: MinDistance): Best = {
     val xc = candidates(lr.xlo ++ lr.xhi)
     val yc = candidates(lr.ylo ++ lr.yhi)
     var best: Best = null
     for (px <- xc; py <- yc) {
       val vec = evalPoint(lr, spec, px, py)
       val s = objective.score(vec)
-      if (best == null || objective.better(s, best.score)) best = Best(px, py, s, vec)
+      if (best == null || s < best.score) best = Best(px, py, s, vec)
     }
     best
   }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.lit
 import scala.collection.mutable
 
 /** The one search setting: `delta` is the (1+δ) approximation slack (§6,
@@ -42,20 +41,14 @@ final class SearchStats {
   * rectangle centres; GI-DS then [[run]]s it over many index cells so that
   * pruning compounds (Algorithm 2).
   */
-final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
-                     objective: Objective, delta: Double) {
-  var bestScore: Double = objective.worst
-  var bestX: Double = Double.NaN
-  var bestY: Double = Double.NaN
+final class DSSearch(q: PreparedQuery, objective: MinDistance, delta: Double) {
+  import DSSearch.{Entry, entryOrd}
+
+  private val spec = objective.spec
+  var bestScore: Double = objective.emptyScore
+  var bestX: Double = q.space.x1 + q.a
+  var bestY: Double = q.space.y1 + q.b
   val stats = new SearchStats
-
-  /** A space to search: `idxs` are rectangles of the query's snapshot, a
-    * superset of those overlapping it.
-    */
-  private final case class Entry(bound: Double, space: Box, idxs: Array[Int])
-
-  private val entryOrd: Ordering[Entry] =
-    if (objective.isMin) Ordering.by((e: Entry) => -e.bound) else Ordering.by((e: Entry) => e.bound)
 
   // Reused by every harvest: a cell's exact vector or its bounding vectors.
   private val vec = new Array[Double](spec.dim)
@@ -63,17 +56,16 @@ final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
   private val hi = new Array[Double](spec.dim)
 
   // Every field above is set: seed the incumbent before the first run.
-  offer(DSSearch.emptyScore(spec, objective), q.space.x1 + q.a, q.space.y1 + q.b)
   seedIncumbent()
 
-  /** Bounds must beat this to survive (d_opt/(1+δ) for distances, §6). */
-  def threshold: Double = objective.threshold(bestScore, delta)
+  /** Bounds must be below this to survive: d_opt/(1+δ) (§6). */
+  def threshold: Double = bestScore / (1.0 + delta)
 
   private def offer(score: Double, x: Double, y: Double): Unit =
-    if (objective.better(score, bestScore)) { bestScore = score; bestX = x; bestY = y }
+    if (score < bestScore) { bestScore = score; bestX = x; bestY = y }
 
   /** Search `space`, updating the incumbent: `idxs` of `q.local` include
-    * every rectangle overlapping it, and no point in it scores better than
+    * every rectangle overlapping it, and no point in it scores below
     * `bound`. DS-Search passes the whole space; GI-DS one index cell or
     * boundary strip at a time.
     */
@@ -81,7 +73,7 @@ final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
     val lr = q.local
     val (dX, dY) = q.accuracy
     val heap = mutable.PriorityQueue(Entry(bound, space, idxs))(entryOrd)
-    while (heap.nonEmpty && objective.better(heap.head.bound, threshold)) {
+    while (heap.nonEmpty && heap.head.bound < threshold) {
       if (stats.spacesProcessed >= DSSearch.MaxSpaces) {
         stats.truncated = true
         Console.err.println(s"[DSSearch] MaxSpaces=${DSSearch.MaxSpaces} hit — result may be approximate")
@@ -96,10 +88,10 @@ final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
           val dirty = harvest(grid, Discretize.local(lr, here, grid, spec))
           val drop = 2 * grid.cw < dX && 2 * grid.ch < dY
           if (!drop && dirty.nonEmpty) {
-            val children = SplitHeuristic.split(dirty, objective)
+            val children = SplitHeuristic.split(dirty)
               .flatMap(SplitHeuristic.ensureProgress(_, e.space))
             children.foreach { c =>
-              if (objective.better(c.bound, threshold))
+              if (c.bound < threshold)
                 heap.enqueue(Entry(c.bound, c.mbr, here))
             }
           }
@@ -126,7 +118,7 @@ final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
         } else {
           cells.bounds(slot, lo, hi)
           val b = objective.bound(lo, hi)
-          if (objective.better(b, threshold))
+          if (b < threshold)
             dirty += SplitHeuristic.DirtyCell(box, b)
         }
         i += 1
@@ -137,10 +129,10 @@ final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
   }
 
   /** Pre-seed the incumbent by scoring a deterministic sample of achievable
-    * candidate points (rectangle centers). Sound for any objective — each
-    * offer is a real point's score — and vital for MaxCount, where the
-    * search otherwise starts with best = 0 and no pruning leverage until
-    * clean cells appear deep in the recursion.
+    * candidate points (rectangle centers). Sound — each offer is a real
+    * point's score — and vital for MaxRS, where the search otherwise starts
+    * from the empty region's distance n and prunes nothing until clean cells
+    * appear deep in the recursion.
     */
   private def seedIncumbent(): Unit = {
     val lr = q.local
@@ -158,6 +150,14 @@ final class DSSearch(q: PreparedQuery, spec: CompositeAggregator,
 }
 
 object DSSearch {
+
+  /** A space to search: `idxs` are rectangles of the query's snapshot, a
+    * superset of those overlapping it.
+    */
+  private final case class Entry(bound: Double, space: Box, idxs: Array[Int])
+
+  /** The heap pops the least bound first. */
+  private val entryOrd: Ordering[Entry] = Ordering.by((e: Entry) => -e.bound)
 
   /** Side of the grid laid over every popped space (paper §7.2 finds 30×30
     * best).
@@ -181,28 +181,21 @@ object DSSearch {
     */
   def solveASRS(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
                 target: Array[Double]): Result =
-    solve(objects, a, b, spec, MinDistance(spec, target))
+    solve(PreparedQuery(objects, a, b, spec), MinDistance(spec, target))
 
-  /** MaxRS solve (§7.5): count objective over a constant-1 sum aggregator. */
+  /** MaxRS solve (§7.5) as the ASRS query of [[PreparedQuery.maxRS]] with
+    * target n: the least distance d is n − (the largest count).
+    */
   def solveMaxRS(objects: DataFrame, a: Double, b: Double): Result = {
-    val spec = CompositeAggregator.uniform(SumAgg("__one"))
-    solve(objects.withColumn("__one", lit(1.0)), a, b, spec, MaxCount())
+    val q = PreparedQuery.maxRS(objects, a, b)
+    val r = solve(q, MinDistance(PreparedQuery.CountSpec, Array(q.n.toDouble)))
+    r.copy(score = q.n - r.score)
   }
 
-  def solve(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
-            objective: Objective): Result = {
-    val q = PreparedQuery(objects, a, b, spec)
-    if (q.n == 0) return Result(0, 0, emptyScore(spec, objective), new SearchStats)
-    val ds = new DSSearch(q, spec, objective, delta = 0.0)
-    ds.run(q.space, Array.range(0, q.n), initialBound(objective))
+  private def solve(q: PreparedQuery, objective: MinDistance): Result = {
+    if (q.n == 0) return Result(0, 0, objective.emptyScore, new SearchStats)
+    val ds = new DSSearch(q, objective, delta = 0.0)
+    ds.run(q.space, Array.range(0, q.n), 0.0)
     Result(ds.bestX, ds.bestY, ds.bestScore, ds.stats)
   }
-
-  /** A bound no score can beat: where a search starts with nothing known. */
-  def initialBound(objective: Objective): Double =
-    if (objective.isMin) 0.0 else Double.PositiveInfinity
-
-  /** Score of an object-free region, whose representation is all zeros. */
-  def emptyScore(spec: CompositeAggregator, objective: Objective): Double =
-    objective.score(new Array[Double](spec.dim))
 }

@@ -36,7 +36,7 @@ object GIDS {
       s"(${index.maxX}, ${index.maxY}), not the query's ${q.n} with (${q.space.x1}, ${q.space.y1})")
     val lr = q.local
     val objective = MinDistance(spec, target)
-    val ds = new DSSearch(q, spec, objective, params.delta)
+    val ds = new DSSearch(q, objective, params.delta)
     val all = Array.range(0, lr.n)
 
     // Boundary strips: candidate corners left of / below the index space
@@ -45,15 +45,15 @@ object GIDS {
     val strips = Seq(
       Box(index.space.x0 - a, index.space.y0 - b, index.space.x0, index.space.y1),
       Box(index.space.x0, index.space.y0 - b, index.space.x1, index.space.y0))
-    strips.foreach(ds.run(_, all, DSSearch.initialBound(objective)))
+    strips.foreach(ds.run(_, all, 0.0))
 
     // Bucket rectangles by the index cells they overlap (one pass).
-    val igrid = Grid(index.space, index.sx, index.sy)
+    val grid = index.grid
     val buckets = Array.fill(index.sx * index.sy)(new mutable.ArrayBuffer[Int](8))
     var r = 0
     while (r < lr.n) {
-      val (ciLo, ciHi) = igrid.colRange(lr.xlo(r), lr.xhi(r))
-      val (cjLo, cjHi) = igrid.rowRange(lr.ylo(r), lr.yhi(r))
+      val (ciLo, ciHi) = grid.colRange(lr.xlo(r), lr.xhi(r))
+      val (cjLo, cjHi) = grid.rowRange(lr.ylo(r), lr.yhi(r))
       var cj = cjLo
       while (cj <= cjHi) {
         var ci = ciLo
@@ -77,7 +77,7 @@ object GIDS {
     while (searched < order.length && bounds(order(searched)) < ds.threshold) {
       val k = order(searched)
       searched += 1
-      ds.run(index.cellBox(k % index.sx, k / index.sx), buckets(k).toArray, bounds(k))
+      ds.run(grid.cellBox(k % index.sx, k / index.sx), buckets(k).toArray, bounds(k))
     }
     Result(ds.bestX, ds.bestY, ds.bestScore, searched, bounds.length, ds.stats)
   }

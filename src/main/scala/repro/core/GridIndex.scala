@@ -25,12 +25,9 @@ final class GridIndex(
     extremes: Array[(Double, Double)],
     val n: Long, val maxX: Double, val maxY: Double) {
 
-  val cw: Double = space.width / sx
-  val ch: Double = space.height / sy
+  /** The index cells' geometry. */
+  val grid: Grid = Grid(space, sx, sy)
   private val aggs = spec.aggs.toArray
-
-  def cellBox(ci: Int, cj: Int): Box =
-    Box(space.x0 + ci * cw, space.y0 + cj * ch, space.x0 + (ci + 1) * cw, space.y0 + (cj + 1) * ch)
 
   /** Lemma 8: statistic column `k` summed over the object cells
     * `[i0, i1) × [j0, j1)`, from four suffix-table lookups.
@@ -50,6 +47,7 @@ final class GridIndex(
     * `((loI0,loI1,loJ0,loJ1), (hiI0,hiI1,hiJ0,hiJ1))`, end-exclusive.
     */
   def candidateRanges(ci: Int, cj: Int, a: Double, b: Double): ((Int, Int, Int, Int), (Int, Int, Int, Int)) = {
+    val cw = grid.cw; val ch = grid.ch
     val cellX0 = space.x0 + ci * cw; val cellX1 = cellX0 + cw
     val cellY0 = space.y0 + cj * ch; val cellY1 = cellY0 + ch
     // Bounded region = cells fully inside the intersection of all candidates,
@@ -74,7 +72,7 @@ final class GridIndex(
   }
 
   /** Bounding vectors `(v̲, v̄)` for every candidate region bottom-left-located
-    * in index cell `(ci, cj)` (§5.3), ready for Eq. 1 / Objective.bound.
+    * in index cell `(ci, cj)` (§5.3), ready for Eq. 1 / `MinDistance.bound`.
     */
   def candidateBounds(ci: Int, cj: Int, a: Double, b: Double): (Array[Double], Array[Double]) = {
     val ((li0, li1, lj0, lj1), (hi0, hi1, hj0, hj1)) = candidateRanges(ci, cj, a, b)

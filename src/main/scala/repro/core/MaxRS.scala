@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Optimal Enclosure (OE) — the O(n log n) state-of-the-art MaxRS sweep the
   * paper benchmarks DS-Search against (§7.5; Nandy & Bhattacharya [21]).
@@ -86,8 +85,6 @@ object MaxRSOE {
   }
 
   /** End-to-end MaxRS baseline over a DataFrame of objects. */
-  def solveMaxRS(objects: DataFrame, a: Double, b: Double): Result = {
-    val spec = CompositeAggregator.uniform(SumAgg("__one"))
-    solve(PreparedQuery(objects.withColumn("__one", lit(1.0)), a, b, spec).local)
-  }
+  def solveMaxRS(objects: DataFrame, a: Double, b: Double): Result =
+    solve(PreparedQuery.maxRS(objects, a, b).local)
 }

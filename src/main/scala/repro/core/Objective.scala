@@ -1,43 +1,15 @@
 package repro.core
 
-/** Search objective. The paper's ASRS minimizes a distance; its MaxRS
-  * adaptation (§7.5) maximizes a count — same machinery with flipped
-  * comparisons and bounds, so both are expressed behind this trait.
+/** The search objective: minimize the weighted L1 distance to the query
+  * representation. MaxRS (§7.5) is the same query: one sum over a constant-1
+  * column ([[PreparedQuery.CountSpec]]) with target n = |O|, so a region's
+  * distance is n − count and Eq. 1's bound is n − (upper count).
   */
-sealed trait Objective {
-  def isMin: Boolean
+final case class MinDistance(spec: CompositeAggregator, target: Array[Double]) {
   /** Exact score of a clean cell's representation. */
-  def score(vec: Array[Double]): Double
-  /** Best achievable score over representations bounded by `lo ≤ v ≤ hi`. */
-  def bound(lo: Array[Double], hi: Array[Double]): Double
-  /** `a` strictly better than `b`. */
-  def better(a: Double, b: Double): Boolean
-  def worst: Double
-  /** Prune cutoff given the incumbent and the approximation slack δ (§6):
-    * a cell/space survives iff its bound is strictly better than this.
-    */
-  def threshold(best: Double, delta: Double): Double
-}
-
-/** ASRS: minimize the weighted L1 distance to the query representation. */
-final case class MinDistance(spec: CompositeAggregator, target: Array[Double]) extends Objective {
-  def isMin = true
   def score(vec: Array[Double]): Double = spec.distance(vec, target)
+  /** Least score over representations bounded by `lo ≤ v ≤ hi` (Eq. 1). */
   def bound(lo: Array[Double], hi: Array[Double]): Double = spec.lowerBound(lo, hi, target)
-  def better(a: Double, b: Double): Boolean = a < b
-  def worst: Double = Double.PositiveInfinity
-  def threshold(best: Double, delta: Double): Double =
-    if (best == Double.PositiveInfinity) best else best / (1.0 + delta)
-}
-
-/** MaxRS: maximize the object count — feature dim 0 must be the count
-  * (a `SumAgg` over a constant-1 column or a total `DistAgg`).
-  */
-final case class MaxCount() extends Objective {
-  def isMin = false
-  def score(vec: Array[Double]): Double = vec(0)
-  def bound(lo: Array[Double], hi: Array[Double]): Double = hi(0)
-  def better(a: Double, b: Double): Boolean = a > b
-  def worst: Double = Double.NegativeInfinity
-  def threshold(best: Double, delta: Double): Double = best
+  /** Score of an object-free region, whose representation is all zeros. */
+  def emptyScore: Double = score(new Array[Double](spec.dim))
 }

@@ -54,6 +54,15 @@ final class PreparedQuery(val local: LocalRects, val a: Double, val b: Double) {
 object PreparedQuery {
   def apply(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator): PreparedQuery =
     new PreparedQuery(LocalRects.collect(Rects.build(objects, a, b, spec), spec), a, b)
+
+  /** MaxRS's aggregator: one sum over the constant-1 `__one` column, so a
+    * region's representation is its object count.
+    */
+  val CountSpec: CompositeAggregator = CompositeAggregator.uniform(SumAgg("__one"))
+
+  /** A MaxRS query (§7.5): [[CountSpec]] over `objects` with `__one` added. */
+  def maxRS(objects: DataFrame, a: Double, b: Double): PreparedQuery =
+    apply(objects.withColumn("__one", lit(1.0)), a, b, CountSpec)
 }
 
 /** Struct-of-arrays snapshot of rectangles for the driver-local discretizer.

@@ -9,12 +9,12 @@ package repro.core
   */
 object SplitHeuristic {
 
-  /** A dirty cell surviving pruning: its box and its objective bound. */
+  /** A dirty cell surviving pruning: its box and its lower bound. */
   final case class DirtyCell(box: Box, bound: Double)
 
   final case class Child(mbr: Box, bound: Double)
 
-  def split(cells: IndexedSeq[DirtyCell], objective: Objective): Seq[Child] = {
+  def split(cells: IndexedSeq[DirtyCell]): Seq[Child] = {
     if (cells.isEmpty) return Nil
     if (cells.size == 1) return Seq(Child(cells.head.box, cells.head.bound))
 
@@ -61,10 +61,10 @@ object SplitHeuristic {
         val cost2 = mbr2.union(c.box).area - mbr2.area
         if (cost1 > cost2) {
           mbr2 = mbr2.union(c.box)
-          if (objective.better(c.bound, b2)) b2 = c.bound
+          if (c.bound < b2) b2 = c.bound
         } else {
           mbr1 = mbr1.union(c.box)
-          if (objective.better(c.bound, b1)) b1 = c.bound
+          if (c.bound < b1) b1 = c.bound
         }
       }
       i += 1

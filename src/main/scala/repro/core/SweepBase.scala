@@ -16,8 +16,8 @@ object SweepBase {
 
   final case class Result(x: Double, y: Double, score: Double, intervals: Long)
 
-  def solve(lr: LocalRects, spec: CompositeAggregator, objective: Objective): Result = {
-    var bestScore = DSSearch.emptyScore(spec, objective)
+  def solve(lr: LocalRects, spec: CompositeAggregator, objective: MinDistance): Result = {
+    var bestScore = objective.emptyScore
     var bx = (if (lr.n > 0) lr.xhi.max else 0.0) + 1.0
     var by = (if (lr.n > 0) lr.yhi.max else 0.0) + 1.0
     var intervals = 0L
@@ -60,7 +60,7 @@ object SweepBase {
             intervals += 1
             run.exact(0, vec)
             val s = objective.score(vec)
-            if (objective.better(s, bestScore)) {
+            if (s < bestScore) {
               bestScore = s; bx = px; by = (y + events(i)._1) / 2
             }
           }

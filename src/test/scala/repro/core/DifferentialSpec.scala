@@ -8,7 +8,8 @@ import scala.util.Random
 /** A seeded differential net at n = 1,000 (duplicate-heavy on the 1/64
   * lattice): DS-Search and GI-DS equal the Base sweep, and app-GIDS keeps its
   * (1+δ) guarantee, for every test spec, on reachable and unreachable targets,
-  * on a query larger than the data's extent and on collinear data.
+  * on a query larger than the data's extent and on collinear data; DS-MaxRS
+  * equals OE on the same data and query sizes.
   */
 class DifferentialSpec extends SparkSpec {
 
@@ -29,20 +30,32 @@ class DifferentialSpec extends SparkSpec {
       s"app-GIDS ${app.score} outside [$d, ${(1 + Delta) * d}] (a=$a b=$b)")
   }
 
+  private def checkMaxRS(data: DataFrame, a: Double, b: Double): DSSearch.Result = {
+    val oe = MaxRSOE.solveMaxRS(data, a, b).count.toDouble
+    val ds = DSSearch.solveMaxRS(data, a, b)
+    assert(ds.score == oe, s"DS-MaxRS ${ds.score} vs OE $oe (a=$a b=$b)")
+    assert(!ds.stats.truncated)
+    ds
+  }
+
   /** A target no region is likely to attain: every dimension moved off the
     * representation of a real region.
     */
   private def unreachable(t: Array[Double]): Array[Double] = t.map(_ * 1.3 + 0.7)
 
-  for ((spec, k) <- TestGen.specs.zipWithIndex)
+  for ((spec, k) <- TestGen.specs.zipWithIndex) {
+    val rng = new Random(k * 101 + 5)
+    val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
     test(s"DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 (spec $k)") {
-      val rng = new Random(k * 101 + 5)
-      val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
       val data = TestGen.df(spark, 1000, 1)
       val target = TestGen.target(spark, data, spec, a, b, k + 1)
       check(data, spec, a, b, target)
       check(data, spec, a, b, unreachable(target))
     }
+    test(s"DS-MaxRS agrees with OE at n = 1,000 (query size of spec $k)") {
+      checkMaxRS(TestGen.df(spark, 1000, 1), a, b)
+    }
+  }
 
   test("DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 on a query larger than the extent") {
     val spec = TestGen.specs(3)
@@ -51,14 +64,22 @@ class DifferentialSpec extends SparkSpec {
     check(data, spec, 1.25, 1.5, unreachable(target))
   }
 
+  test("DS-MaxRS agrees with OE at n = 1,000 on a query larger than the extent") {
+    // The seeds already hold all n objects (distance 0): nothing is searched.
+    val ds = checkMaxRS(TestGen.df(spark, 1000, 1), 1.25, 1.5)
+    assert(ds.score == 1000.0)
+    assert(ds.stats.spacesProcessed == 0)
+  }
+
   // Every object on the line x = 0.5 (or y = 0.5): the objects' bbox, and so
   // the grid index's space, has zero width (or height).
-  for ((axis, k) <- Seq(("x", 3), ("x", 1), ("y", 4)))
+  for ((axis, k) <- Seq(("x", 3), ("x", 1), ("y", 4))) {
+    val rng = new Random(k * 101 + 5)
+    val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
+    def collinear = TestGen.df(spark, 1000, 1).withColumn(axis, lit(0.5))
     test(s"DS-Search, GI-DS and app-GIDS agree with Base at n = 1,000 on collinear data ($axis = 0.5, spec $k)") {
-      val data = TestGen.df(spark, 1000, 1).withColumn(axis, lit(0.5))
+      val data = collinear
       val spec = TestGen.specs(k)
-      val rng = new Random(k * 101 + 5)
-      val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
       // The target region straddles the line, so it holds objects; its other
       // coordinate is random, off the lattice, as in `TestGen.target`.
       val c = rng.nextDouble() * 0.75
@@ -69,4 +90,8 @@ class DifferentialSpec extends SparkSpec {
       check(data, spec, a, b, target)
       check(data, spec, a, b, unreachable(target))
     }
+    test(s"DS-MaxRS agrees with OE at n = 1,000 on collinear data ($axis = 0.5, query size of spec $k)") {
+      checkMaxRS(collinear, a, b)
+    }
+  }
 }

@@ -38,8 +38,8 @@ class GridIndexSpec extends SparkSpec {
         for (_ <- 1 to 5) {
           val i0 = rng.nextInt(g); val i1 = i0 + 1 + rng.nextInt(g - i0)
           val j0 = rng.nextInt(g); val j1 = j0 + 1 + rng.nextInt(g - j0)
-          val xLo = idx.space.x0 + i0 * idx.cw; val xHi = idx.space.x0 + i1 * idx.cw
-          val yLo = idx.space.y0 + j0 * idx.ch; val yHi = idx.space.y0 + j1 * idx.ch
+          val xLo = idx.space.x0 + i0 * idx.grid.cw; val xHi = idx.space.x0 + i1 * idx.grid.cw
+          val yLo = idx.space.y0 + j0 * idx.grid.ch; val yHi = idx.space.y0 + j1 * idx.grid.ch
           val xHiPred = if (i1 == idx.sx) s"CAST(x AS DOUBLE) <= ${idx.space.x1}"
                         else s"CAST(x AS DOUBLE) < $xHi"
           val yHiPred = if (j1 == idx.sy) s"CAST(y AS DOUBLE) <= ${idx.space.y1}"
@@ -76,7 +76,7 @@ class GridIndexSpec extends SparkSpec {
       val lr = TestGen.localRects(data, a, b, spec)
       for (ci <- 0 until 6; cj <- 0 until 6) {
         val (lo, hi) = idx.candidateBounds(ci, cj, a, b)
-        val cell = idx.cellBox(ci, cj)
+        val cell = idx.grid.cellBox(ci, cj)
         for (_ <- 1 to 8) {
           val px = cell.x0 + rng.nextDouble() * cell.width
           val py = cell.y0 + rng.nextDouble() * cell.height

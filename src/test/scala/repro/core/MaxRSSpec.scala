@@ -1,32 +1,32 @@
 package repro.core
 
 import repro.SparkSpec
-import org.apache.spark.sql.functions.lit
 import scala.util.Random
 
-/** §7.5: DS-Search adapted to MaxRS (upper bounds + max-heap) and the OE
-  * sweep baseline both find the maximum enclosing count.
+/** §7.5: DS-MaxRS (the ASRS query of one constant-1 sum with target n, whose
+  * distance is n − count) and the OE sweep baseline both find the maximum
+  * enclosing count.
   */
 class MaxRSSpec extends SparkSpec {
 
-  private val spec = CompositeAggregator.uniform(SumAgg("__one"))
+  private val spec = PreparedQuery.CountSpec
 
   private def rectsOf(data: org.apache.spark.sql.DataFrame, a: Double, b: Double): LocalRects =
-    LocalRects.collect(Rects.build(data.withColumn("__one", lit(1.0)), a, b, spec), spec)
+    PreparedQuery.maxRS(data, a, b).local
 
   for (seed <- 1 to 8) test(s"DS-MaxRS and OE equal brute force (seed $seed)") {
     val data = TestGen.df(spark, 35, seed)
     val rng = new Random(seed * 41)
     val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
     val lr = rectsOf(data, a, b)
-    val brute = BruteForce.solve(lr, spec, MaxCount())
+    val brute = BruteForce.solve(lr, spec, MinDistance(spec, Array(lr.n.toDouble))).vec(0)
     val ds = DSSearch.solveMaxRS(data, a, b)
     val oe = MaxRSOE.solve(lr)
-    assert(ds.score == brute.score, s"DS ${ds.score} vs brute ${brute.score}")
-    assert(oe.count.toDouble == brute.score, s"OE ${oe.count} vs brute ${brute.score}")
+    assert(ds.score == brute, s"DS ${ds.score} vs brute $brute")
+    assert(oe.count.toDouble == brute, s"OE ${oe.count} vs brute $brute")
     // returned locations achieve the count
-    assert(BruteForce.evalPoint(lr, spec, ds.x, ds.y)(0) == brute.score)
-    assert(BruteForce.evalPoint(lr, spec, oe.x, oe.y)(0) == brute.score)
+    assert(BruteForce.evalPoint(lr, spec, ds.x, ds.y)(0) == brute)
+    assert(BruteForce.evalPoint(lr, spec, oe.x, oe.y)(0) == brute)
   }
 
   test("all objects in one spot: count equals multiplicity") {

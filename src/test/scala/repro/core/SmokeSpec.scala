@@ -27,15 +27,13 @@ class SmokeSpec extends SparkSpec {
   test("MaxRS solvers agree on one instance") {
     val data = TestGen.df(spark, 30, seed = 2)
     val a = 8.0 / 64; val b = 8.0 / 64
-    import org.apache.spark.sql.functions.lit
-    val spec = CompositeAggregator.uniform(SumAgg("__one"))
-    val lr = LocalRects.collect(
-      Rects.build(data.withColumn("__one", lit(1.0)), a, b, spec), spec)
-    val brute = BruteForce.solve(lr, spec, MaxCount())
+    val spec = PreparedQuery.CountSpec
+    val lr = PreparedQuery.maxRS(data, a, b).local
+    val brute = BruteForce.solve(lr, spec, MinDistance(spec, Array(lr.n.toDouble))).vec(0)
     val ds = DSSearch.solveMaxRS(data, a, b)
     val oe = MaxRSOE.solve(lr)
-    info(s"brute=${brute.score} ds=${ds.score} oe=${oe.count}")
-    assert(ds.score == brute.score)
-    assert(oe.count.toDouble == brute.score)
+    info(s"brute=$brute ds=${ds.score} oe=${oe.count}")
+    assert(ds.score == brute)
+    assert(oe.count.toDouble == brute)
   }
 }

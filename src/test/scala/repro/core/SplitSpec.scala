@@ -7,25 +7,23 @@ import SplitHeuristic.{DirtyCell, Child}
 /** Function Split: coverage, bound propagation, and the progress safeguard. */
 class SplitSpec extends AnyFunSuite {
 
-  private val obj = MinDistance(CompositeAggregator(Seq(SumAgg("x")), Array(1.0)), Array(0.0))
-
   private def cell(x: Double, y: Double, s: Double, bound: Double) =
     DirtyCell(Box(x, y, x + s, y + s), bound)
 
   test("empty input yields no children") {
-    assert(SplitHeuristic.split(IndexedSeq.empty, obj).isEmpty)
+    assert(SplitHeuristic.split(IndexedSeq.empty).isEmpty)
   }
 
   test("single cell yields itself") {
     val c = cell(0, 0, 0.1, 2.0)
-    assert(SplitHeuristic.split(IndexedSeq(c), obj) == Seq(Child(c.box, 2.0)))
+    assert(SplitHeuristic.split(IndexedSeq(c)) == Seq(Child(c.box, 2.0)))
   }
 
   for (seed <- 1 to 15) test(s"children cover all dirty cells, bounds are minima (seed $seed)") {
     val rng = new Random(seed)
     val cells = IndexedSeq.fill(rng.nextInt(40) + 2)(
       cell(rng.nextDouble(), rng.nextDouble(), 0.05, rng.nextDouble() * 10))
-    val children = SplitHeuristic.split(cells, obj)
+    val children = SplitHeuristic.split(cells)
     assert(children.size == 2)
     // every cell is inside some child MBR
     cells.foreach { c =>
@@ -40,7 +38,7 @@ class SplitSpec extends AnyFunSuite {
   test("two far-apart clusters are separated") {
     val g1 = IndexedSeq(cell(0, 0, 0.05, 1), cell(0.05, 0.02, 0.05, 2))
     val g2 = IndexedSeq(cell(0.9, 0.9, 0.05, 3), cell(0.85, 0.92, 0.05, 4))
-    val children = SplitHeuristic.split(g1 ++ g2, obj)
+    val children = SplitHeuristic.split(g1 ++ g2)
     assert(children.size == 2)
     val areas = children.map(_.mbr.area).sum
     assert(areas < 0.2, s"MBRs should stay tight, total area $areas")

@@ -16,8 +16,8 @@ class ExperimentsSpec extends SparkSpec {
     // crosses an object coordinate or that coordinate minus the size, so the
     // midpoints between consecutive such values enumerate every region.
     def mids(cs: Seq[Double]): Seq[Double] = cs.distinct.sorted.sliding(2).map(p => (p(0) + p(1)) / 2).toSeq
-    val pxs = mids(objs.flatMap(o => Seq(o._1, o._1 - a)))
-    val pys = mids(objs.flatMap(o => Seq(o._2, o._2 - b)))
+    val pxs = mids(objs.flatMap(o => Seq(o._1, o._1 - a)).toIndexedSeq)
+    val pys = mids(objs.flatMap(o => Seq(o._2, o._2 - b)).toIndexedSeq)
     val brute = (for (px <- pxs; py <- pys) yield objs.collect {
       case (x, y, v) if px < x && x < px + a && py < y && y < py + b => v
     }.sum).max
