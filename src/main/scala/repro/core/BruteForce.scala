@@ -6,8 +6,7 @@ package repro.core
   * each by a direct scan is exact. O(n³) — tests and tiny instances only.
   *
   * [[evalPoint]], one O(n) scan, is also the representation F(r) of a
-  * region ([[Agg.representation]], by Lemma 1) and scores DS-Search's
-  * incumbent seeds.
+  * region ([[Agg.representation]], by Lemma 1).
   */
 object BruteForce {
 
@@ -40,12 +39,12 @@ object BruteForce {
 
   final case class Best(x: Double, y: Double, score: Double, vec: Array[Double])
 
-  def solve(lr: LocalRects, spec: CompositeAggregator, objective: MinDistance): Best = {
+  def solve(lr: LocalRects, objective: MinDistance): Best = {
     val xc = candidates(lr.xlo ++ lr.xhi)
     val yc = candidates(lr.ylo ++ lr.yhi)
     var best: Best = null
     for (px <- xc; py <- yc) {
-      val vec = evalPoint(lr, spec, px, py)
+      val vec = evalPoint(lr, objective.spec, px, py)
       val s = objective.score(vec)
       if (best == null || s < best.score) best = Best(px, py, s, vec)
     }

@@ -37,9 +37,10 @@ final class SearchStats {
   * condition (Def. 8) holds.
   *
   * The object owns the query's incumbent. It starts as the empty region,
-  * anchored strictly outside every rectangle, improved by a sample of
-  * rectangle centres; GI-DS then [[run]]s it over many index cells so that
-  * pruning compounds (Algorithm 2).
+  * anchored strictly outside every rectangle, and only harvested clean-cell
+  * centres improve it, so every answer lies in an open cell of the edge
+  * arrangement (Lemmas 3 and 7). GI-DS [[run]]s it over many index cells so
+  * that pruning compounds (Algorithm 2).
   */
 final class DSSearch(q: PreparedQuery, objective: MinDistance, delta: Double) {
   import DSSearch.{Entry, entryOrd}
@@ -54,9 +55,6 @@ final class DSSearch(q: PreparedQuery, objective: MinDistance, delta: Double) {
   private val vec = new Array[Double](spec.dim)
   private val lo = new Array[Double](spec.dim)
   private val hi = new Array[Double](spec.dim)
-
-  // Every field above is set: seed the incumbent before the first run.
-  seedIncumbent()
 
   /** Bounds must be below this to survive: d_opt/(1+δ) (§6). */
   def threshold: Double = bestScore / (1.0 + delta)
@@ -127,26 +125,6 @@ final class DSSearch(q: PreparedQuery, objective: MinDistance, delta: Double) {
     }
     dirty.result()
   }
-
-  /** Pre-seed the incumbent by scoring a deterministic sample of achievable
-    * candidate points (rectangle centers). Sound — each offer is a real
-    * point's score — and vital for MaxRS, where the search otherwise starts
-    * from the empty region's distance n and prunes nothing until clean cells
-    * appear deep in the recursion.
-    */
-  private def seedIncumbent(): Unit = {
-    val lr = q.local
-    if (lr.n == 0) return
-    val k = math.max(16, math.min(512, (2e7 / lr.n).toInt))
-    val step = math.max(1, lr.n / k)
-    var i = 0
-    while (i < lr.n) {
-      val px = (lr.xlo(i) + lr.xhi(i)) / 2
-      val py = (lr.ylo(i) + lr.yhi(i)) / 2
-      offer(objective.score(BruteForce.evalPoint(lr, spec, px, py)), px, py)
-      i += step
-    }
-  }
 }
 
 object DSSearch {
@@ -177,7 +155,7 @@ object DSSearch {
   }
 
   /** End-to-end ASRS solve (Algorithm 1): one collect of the query's
-    * rectangles, a seeded incumbent, then the search of the whole space.
+    * rectangles, then the search of the whole space from the empty region.
     */
   def solveASRS(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
                 target: Array[Double]): Result =

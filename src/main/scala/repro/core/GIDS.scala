@@ -7,15 +7,15 @@ import scala.collection.mutable
   *
   * The grid index supplies a lower bound per index cell for all candidate
   * regions bottom-left-located in it; cells are then searched in bound order
-  * by one [[DSSearch]] object, whose incumbent is seeded as for DS-Search
-  * and shared by every cell, until the next bound reaches `d_opt/(1+δ)`
-  * (δ = 0 ⇒ exact, Algorithm 2 line 5).
+  * by one [[DSSearch]] object, whose incumbent starts as the empty region,
+  * as in DS-Search, and is shared by every cell, until the next bound
+  * reaches `d_opt/(1+δ)` (δ = 0 ⇒ exact, Algorithm 2 line 5).
   *
   * Orchestration note (DESIGN.md §2): the index is built by Spark; the query
   * is one collect of its rectangles, and the per-cell searches run on the
   * driver over per-cell buckets of them. Bucketing every rectangle up front
   * and searching each index cell on a full grid make GI-DS slower than plain
-  * DS-Search at n = 200k (ROADMAP item 7).
+  * DS-Search at n = 200k (ROADMAP item 9).
   */
 object GIDS {
 
@@ -65,8 +65,8 @@ object GIDS {
 
     // Lower bound every index cell `k = cj·sx + ci`, then search the cells in
     // bound order while a bound can still beat the incumbent (lines 2-7).
-    // A cell that cannot beat the seeded incumbent is never searched, so only
-    // the others are sorted.
+    // A cell that cannot beat the incumbent left by the strips is never
+    // searched, so only the others are sorted.
     val bounds = Array.tabulate(index.sx * index.sy) { k =>
       val (lo, hi) = index.candidateBounds(k % index.sx, k / index.sx, a, b)
       objective.bound(lo, hi)

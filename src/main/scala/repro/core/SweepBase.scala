@@ -16,6 +16,10 @@ object SweepBase {
 
   final case class Result(x: Double, y: Double, score: Double, intervals: Long)
 
+  /** The sweep over a query's collected rectangles. `spec` repeats
+    * `objective.spec`; the signature stays because perfbench's traced run
+    * calls it.
+    */
   def solve(lr: LocalRects, spec: CompositeAggregator, objective: MinDistance): Result = {
     var bestScore = objective.emptyScore
     var bx = (if (lr.n > 0) lr.xhi.max else 0.0) + 1.0

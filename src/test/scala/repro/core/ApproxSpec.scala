@@ -17,7 +17,7 @@ class ApproxSpec extends SparkSpec {
       val a = (rng.nextInt(12) + 4) / 64.0; val b = (rng.nextInt(12) + 4) / 64.0
       val target = TestGen.target(spark, data, spec, a, b, seed + 50)
       val lr = TestGen.localRects(data, a, b, spec)
-      val opt = BruteForce.solve(lr, spec, MinDistance(spec, target)).score
+      val opt = BruteForce.solve(lr, MinDistance(spec, target)).score
       val idx = GridIndex.build(data, spec, 6, 6)
       val res = GIDS.solve(data, a, b, spec, target, idx,
                            SearchParams(delta = delta))

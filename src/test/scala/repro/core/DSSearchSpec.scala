@@ -16,7 +16,7 @@ class DSSearchSpec extends SparkSpec {
     val a = (rng.nextInt(14) + 4) / 64.0; val b = (rng.nextInt(14) + 4) / 64.0
     val target = TestGen.target(spark, data, spec, a, b, seed)
     val lr = TestGen.localRects(data, a, b, spec)
-    val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
+    val brute = BruteForce.solve(lr, MinDistance(spec, target))
     val ds = DSSearch.solveASRS(data, a, b, spec, target)
     assert(math.abs(ds.score - brute.score) < 1e-9,
       s"DS ${ds.score} vs brute ${brute.score} (seed=$seed spec=$specIdx a=$a b=$b)")
@@ -64,7 +64,7 @@ class DSSearchSpec extends SparkSpec {
     val spec = TestGen.specs(0)
     val lr = TestGen.localRects(data, 0.2, 0.2, spec)
     val target = Array(2.0, 0.0, 0.0)
-    val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
+    val brute = BruteForce.solve(lr, MinDistance(spec, target))
     val ds = DSSearch.solveASRS(data, 0.2, 0.2, spec, target)
     assert(math.abs(ds.score - brute.score) < 1e-9)
     assert(ds.score == 0.0)
@@ -75,8 +75,8 @@ class DSSearchSpec extends SparkSpec {
     val spec = TestGen.specs(3)
     val t = TestGen.target(spark, data, spec, 0.1, 0.1, 13)
     val r = DSSearch.solveASRS(data, 0.1, 0.1, spec, t)
-    // Incumbent seeding may solve the instance outright (threshold 0 ⇒ no
-    // spaces popped); when spaces are processed, cells must have been too.
+    // An empty region that already meets the target (threshold 0) pops no
+    // space; when spaces are processed, cells must have been too.
     assert(r.stats.spacesProcessed == 0 || r.stats.cellsEvaluated > 0)
     assert(!r.stats.truncated)
     // an impossible target forces actual discretization work

@@ -6,10 +6,11 @@ import repro.SparkSpec
 import scala.util.Random
 
 /** A seeded differential net at n = 1,000 (duplicate-heavy on the 1/64
-  * lattice): DS-Search and GI-DS equal the Base sweep, and app-GIDS keeps its
-  * (1+δ) guarantee, for every test spec, on reachable and unreachable targets,
-  * on a query larger than the data's extent and on collinear data; DS-MaxRS
-  * equals OE on the same data and query sizes.
+  * lattice): DS-Search and GI-DS equal the Base sweep and answer off every
+  * rectangle's boundary, and app-GIDS keeps its (1+δ) guarantee, for every
+  * test spec, on reachable and unreachable targets, on a query larger than
+  * the data's extent and on collinear data; DS-MaxRS equals OE on the same
+  * data and query sizes.
   */
 class DifferentialSpec extends SparkSpec {
 
@@ -17,17 +18,35 @@ class DifferentialSpec extends SparkSpec {
 
   private def check(data: DataFrame, spec: CompositeAggregator,
                     a: Double, b: Double, target: Array[Double]): Unit = {
-    val d = SweepBase.solve(TestGen.localRects(data, a, b, spec), spec, MinDistance(spec, target)).score
+    val lr = TestGen.localRects(data, a, b, spec)
+    val d = SweepBase.solve(lr, spec, MinDistance(spec, target)).score
     val tol = 1e-9 * math.max(1.0, math.abs(d))
     val ds = DSSearch.solveASRS(data, a, b, spec, target)
     assert(math.abs(ds.score - d) <= tol, s"DS-Search ${ds.score} vs Base $d (a=$a b=$b)")
     assert(!ds.stats.truncated)
+    assertOffEdges(lr, "DS-Search", ds.x, ds.y)
     val idx = GridIndex.build(data, spec, 16, 16)
     val gids = GIDS.solve(data, a, b, spec, target, idx)
     assert(math.abs(gids.score - d) <= tol, s"GI-DS ${gids.score} vs Base $d (a=$a b=$b)")
+    assertOffEdges(lr, "GI-DS", gids.x, gids.y)
     val app = GIDS.solve(data, a, b, spec, target, idx, SearchParams(delta = Delta))
     assert(app.score >= d - tol && app.score <= (1 + Delta) * d + tol,
       s"app-GIDS ${app.score} outside [$d, ${(1 + Delta) * d}] (a=$a b=$b)")
+  }
+
+  /** The answer (x, y) lies in an open cell of the edge arrangement: on no
+    * rectangle's boundary segment. A coordinate equal to a far rectangle's
+    * edge is allowed.
+    */
+  private def assertOffEdges(lr: LocalRects, solver: String, x: Double, y: Double): Unit = {
+    val on = (0 until lr.n).find { r =>
+      ((x == lr.xlo(r) || x == lr.xhi(r)) && lr.ylo(r) <= y && y <= lr.yhi(r)) ||
+      ((y == lr.ylo(r) || y == lr.yhi(r)) && lr.xlo(r) <= x && x <= lr.xhi(r))
+    }
+    on.foreach { r =>
+      fail(s"$solver's answer ($x, $y) lies on the boundary of rectangle " +
+        s"[${lr.xlo(r)}, ${lr.xhi(r)}] × [${lr.ylo(r)}, ${lr.yhi(r)}]")
+    }
   }
 
   private def checkMaxRS(data: DataFrame, a: Double, b: Double): DSSearch.Result = {
@@ -65,10 +84,11 @@ class DifferentialSpec extends SparkSpec {
   }
 
   test("DS-MaxRS agrees with OE at n = 1,000 on a query larger than the extent") {
-    // The seeds already hold all n objects (distance 0): nothing is searched.
+    // The root space's clean cells already hold all n objects (distance 0):
+    // no space but the root is searched.
     val ds = checkMaxRS(TestGen.df(spark, 1000, 1), 1.25, 1.5)
     assert(ds.score == 1000.0)
-    assert(ds.stats.spacesProcessed == 0)
+    assert(ds.stats.spacesProcessed == 1)
   }
 
   // Every object on the line x = 0.5 (or y = 0.5): the objects' bbox, and so
@@ -81,7 +101,7 @@ class DifferentialSpec extends SparkSpec {
       val data = collinear
       val spec = TestGen.specs(k)
       // The target region straddles the line, so it holds objects; its other
-      // coordinate is random, off the lattice, as in `TestGen.target`.
+      // coordinate is random, off the lattice.
       val c = rng.nextDouble() * 0.75
       val region =
         if (axis == "x") Box(0.5 - a / 2, c, 0.5 + a / 2, c + b)

@@ -14,7 +14,7 @@ class GIDSSpec extends SparkSpec {
       val a = (rng.nextInt(14) + 4) / 64.0; val b = (rng.nextInt(14) + 4) / 64.0
       val target = TestGen.target(spark, data, spec, a, b, seed)
       val lr = TestGen.localRects(data, a, b, spec)
-      val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
+      val brute = BruteForce.solve(lr, MinDistance(spec, target))
       val idx = GridIndex.build(data, spec, g, g)
       val res = GIDS.solve(data, a, b, spec, target, idx)
       assert(math.abs(res.score - brute.score) < 1e-9,
@@ -22,22 +22,6 @@ class GIDSSpec extends SparkSpec {
       assert(res.totalCells == g * g)
       assert(res.cellsSearched >= 0 && res.cellsSearched <= res.totalCells)
     }
-
-  test("GI-DS starts from DS-Search's seeded incumbent") {
-    val data = TestGen.df(spark, 35, 2)
-    val spec = TestGen.specs(3)
-    val (a, b) = (8 / 64.0, 8 / 64.0)
-    val lr = TestGen.localRects(data, a, b, spec)
-    // Rectangle 0's center is among the sampled seeds, so the seeded
-    // incumbent already scores 0 and nothing is left to search.
-    val target = BruteForce.evalPoint(lr, spec, (lr.xlo(0) + lr.xhi(0)) / 2, (lr.ylo(0) + lr.yhi(0)) / 2)
-    val gids = GIDS.solve(data, a, b, spec, target, GridIndex.build(data, spec, 8, 8))
-    assert(gids.score == 0.0 && gids.cellsSearched == 0 && gids.stats.spacesProcessed == 0,
-      s"GI-DS scored ${gids.score} after ${gids.cellsSearched} cells, ${gids.stats.spacesProcessed} spaces")
-    val ds = DSSearch.solveASRS(data, a, b, spec, target)
-    assert(ds.score == 0.0 && ds.stats.spacesProcessed == 0,
-      s"DS-Search scored ${ds.score} after ${ds.stats.spacesProcessed} spaces")
-  }
 
   test("optimum left of the index space is found (boundary strips)") {
     import spark.implicits._
@@ -50,7 +34,7 @@ class GIDSSpec extends SparkSpec {
     val a = 0.05; val b = 0.5
     val target = Array(1.0, 0.0, 0.0) // want exactly one A
     val lr = TestGen.localRects(data, a, b, spec)
-    val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
+    val brute = BruteForce.solve(lr, MinDistance(spec, target))
     assert(brute.score == 0.0)
     val idx = GridIndex.build(data, spec, 4, 4)
     val res = GIDS.solve(data, a, b, spec, target, idx)
@@ -96,7 +80,7 @@ class GIDSSpec extends SparkSpec {
     val reweighted = CompositeAggregator(TestGen.specs(3).aggs, Array(2.0, 1, 1, 0.5, 0.25))
     val target = TestGen.target(spark, data, reweighted, a, b, 23)
     val lr = TestGen.localRects(data, a, b, reweighted)
-    val brute = BruteForce.solve(lr, reweighted, MinDistance(reweighted, target))
+    val brute = BruteForce.solve(lr, MinDistance(reweighted, target))
     val res = GIDS.solve(data, a, b, reweighted, target, idx)
     assert(math.abs(res.score - brute.score) < 1e-9, s"GIDS ${res.score} vs brute ${brute.score}")
   }

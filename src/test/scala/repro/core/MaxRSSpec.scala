@@ -19,7 +19,7 @@ class MaxRSSpec extends SparkSpec {
     val rng = new Random(seed * 41)
     val a = (rng.nextInt(16) + 4) / 64.0; val b = (rng.nextInt(16) + 4) / 64.0
     val lr = rectsOf(data, a, b)
-    val brute = BruteForce.solve(lr, spec, MinDistance(spec, Array(lr.n.toDouble))).vec(0)
+    val brute = BruteForce.solve(lr, MinDistance(spec, Array(lr.n.toDouble))).vec(0)
     val ds = DSSearch.solveMaxRS(data, a, b)
     val oe = MaxRSOE.solve(lr)
     assert(ds.score == brute, s"DS ${ds.score} vs brute $brute")

@@ -12,7 +12,7 @@ class SmokeSpec extends SparkSpec {
     val target = TestGen.target(spark, data, spec, a, b, seed = 1)
 
     val lr = TestGen.localRects(data, a, b, spec)
-    val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
+    val brute = BruteForce.solve(lr, MinDistance(spec, target))
     val ds = DSSearch.solveASRS(data, a, b, spec, target)
     val sweep = SweepBase.solve(lr, spec, MinDistance(spec, target))
     val index = GridIndex.build(data, spec, 4, 4)
@@ -29,7 +29,7 @@ class SmokeSpec extends SparkSpec {
     val a = 8.0 / 64; val b = 8.0 / 64
     val spec = PreparedQuery.CountSpec
     val lr = PreparedQuery.maxRS(data, a, b).local
-    val brute = BruteForce.solve(lr, spec, MinDistance(spec, Array(lr.n.toDouble))).vec(0)
+    val brute = BruteForce.solve(lr, MinDistance(spec, Array(lr.n.toDouble))).vec(0)
     val ds = DSSearch.solveMaxRS(data, a, b)
     val oe = MaxRSOE.solve(lr)
     info(s"brute=$brute ds=${ds.score} oe=${oe.count}")

@@ -16,7 +16,7 @@ class SweepBaseSpec extends SparkSpec {
       val a = (rng.nextInt(14) + 4) / 64.0; val b = (rng.nextInt(14) + 4) / 64.0
       val target = TestGen.target(spark, data, spec, a, b, seed)
       val lr = TestGen.localRects(data, a, b, spec)
-      val brute = BruteForce.solve(lr, spec, MinDistance(spec, target))
+      val brute = BruteForce.solve(lr, MinDistance(spec, target))
       val sweep = SweepBase.solve(lr, spec, MinDistance(spec, target))
       assert(math.abs(sweep.score - brute.score) < 1e-9,
         s"sweep ${sweep.score} vs brute ${brute.score}")

@@ -55,13 +55,16 @@ object TestGen {
       Array(0.5, 1.0, 2.0, 0.25)),
   )
 
-  /** Target representation: the representation of a random lattice-aligned
-    * region, so optimal distances are interesting (often but not always 0).
+  /** Target representation: the representation of a random region whose
+    * corner is on the 1/64 lattice, so optimal distances are interesting
+    * (often but not always 0) and the target region's edges can meet
+    * objects' rectangle edges.
     */
   def target(spark: SparkSession, data: DataFrame, spec: CompositeAggregator,
              a: Double, b: Double, seed: Long): Array[Double] = {
     val rng = new Random(seed * 31 + 7)
-    val qx = rng.nextDouble() * (1 - a); val qy = rng.nextDouble() * (1 - b)
+    def lattice(d: Double) = math.floor(d * 64) / 64
+    val qx = lattice(rng.nextDouble() * (1 - a)); val qy = lattice(rng.nextDouble() * (1 - b))
     Agg.representation(data, spec, Box(qx, qy, qx + a, qy + b))
   }
 
