@@ -15,7 +15,7 @@ object Accuracy {
     * coordinate columns, `distinct`, and take the minimum adjacent-difference
     * under a window `lag` — the "window over geo-tagged partitions" path.
     * No solver calls it: each takes ΔX/ΔY from its collected rectangles
-    * ([[ofLocal]], via [[PreparedQuery]]).
+    * ([[ofLocal]]).
     */
   def of(rects: DataFrame): (Double, Double) = (minGap(rects, "xlo", "xhi"), minGap(rects, "ylo", "yhi"))
 
@@ -30,13 +30,6 @@ object Accuracy {
     if (row.isNullAt(0)) Double.PositiveInfinity else row.getDouble(0)
   }
 
-  /** Driver-local twin for collected rectangles. */
-  def ofLocal(lr: LocalRects): (Double, Double) = {
-    def gap(a: Array[Double], b: Array[Double]): Double = {
-      val xs = (a ++ b).distinct.sorted
-      if (xs.length < 2) Double.PositiveInfinity
-      else xs.sliding(2).map(p => p(1) - p(0)).min
-    }
-    (gap(lr.xlo, lr.xhi), gap(lr.ylo, lr.yhi))
-  }
+  /** Driver-local twin for collected rectangles: their [[Edges]]' ΔX/ΔY. */
+  def ofLocal(lr: LocalRects): (Double, Double) = lr.edges.accuracy
 }

@@ -138,6 +138,5 @@ object Agg {
     * rectangles. `df` must carry raw `x`/`y` columns.
     */
   def representation(df: DataFrame, spec: CompositeAggregator, region: Box): Array[Double] =
-    BruteForce.evalPoint(LocalRects.collect(Rects.build(df, region.width, region.height, spec), spec),
-                         spec, region.x0, region.y0)
+    BruteForce.evalPoint(Rects.local(df, region.width, region.height, spec), spec, region.x0, region.y0)
 }

@@ -26,22 +26,19 @@ object BruteForce {
     out
   }
 
-  /** Candidate interior points: midpoints between consecutive distinct edge
-    * coordinates per axis, plus one point strictly outside everything (the
-    * empty region).
+  /** Candidate interior points on one axis: midpoints between consecutive
+    * `sorted` distinct edge coordinates, plus `outside`, the empty region's
+    * coordinate.
     */
-  def candidates(edges: Array[Double]): Array[Double] = {
-    val xs = edges.distinct.sorted
-    if (xs.isEmpty) return Array(0.0)
-    val mids = (0 until xs.length - 1).map(k => (xs(k) + xs(k + 1)) / 2).toArray
-    mids :+ (xs.last + 1.0)
-  }
+  def candidates(sorted: Array[Double], outside: Double): Array[Double] =
+    Array.tabulate(sorted.length - 1)(k => (sorted(k) + sorted(k + 1)) / 2) :+ outside
 
   final case class Best(x: Double, y: Double, score: Double, vec: Array[Double])
 
   def solve(lr: LocalRects, objective: MinDistance): Best = {
-    val xc = candidates(lr.xlo ++ lr.xhi)
-    val yc = candidates(lr.ylo ++ lr.yhi)
+    val edges = lr.edges
+    val xc = candidates(edges.xs, edges.outsideX)
+    val yc = candidates(edges.ys, edges.outsideY)
     var best: Best = null
     for (px <- xc; py <- yc) {
       val vec = evalPoint(lr, objective.spec, px, py)

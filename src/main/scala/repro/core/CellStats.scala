@@ -22,11 +22,6 @@ final class CellStats(val spec: CompositeAggregator, val slots: Int) {
     case _: DistAgg => Dist; case _: AvgAgg => Avg; case _: SumAgg => Sum
   }.toArray
   private val dims: Array[Int] = spec.aggs.map(_.dim).toArray
-  /** Per aggregator, its column in `LocalRects.distIdx` or `numVal`/`numSel`. */
-  private val cols: Array[Int] = {
-    val (distSlot, numSlot) = LocalRects.slots(spec)
-    distSlot.zip(numSlot).map { case (d, m) => math.max(d, m) }
-  }
 
   /** Start of aggregator `i`'s statistics inside a slot. */
   val offsets: Array[Int] = spec.aggs.map {
@@ -55,10 +50,10 @@ final class CellStats(val spec: CompositeAggregator, val slots: Int) {
     while (i < kinds.length) {
       val b = base + offsets(i)
       if (kinds(i) == Dist) {
-        val j = lr.distIdx(cols(i))(r)
+        val j = lr.distIdx(i)(r)
         if (j >= 0) raw(b + 2 * j + (if (full) 0 else 1)) += sign
-      } else if (lr.numSel(cols(i))(r)) {
-        val v = lr.numVal(cols(i))(r)
+      } else if (lr.numSel(i)(r)) {
+        val v = lr.numVal(i)(r)
         if (kinds(i) == Avg) {
           if (full) { raw(b) += sign; raw(b + 1) += sign * v }
           else {

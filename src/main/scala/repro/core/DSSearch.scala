@@ -30,25 +30,25 @@ final class SearchStats {
     s"spaces=$spacesProcessed local=$localDiscretizations cells=$cellsEvaluated"
 }
 
-/** Algorithm 1, DS-Search, for one query `q`: best-first loop over spaces
-  * kept in a heap, discretize each popped space on the driver over the
-  * query's collected rectangles (DESIGN.md §2), harvest clean cells, prune
+/** Algorithm 1, DS-Search, for one query: best-first loop over spaces kept
+  * in a heap, discretize each popped space on the driver over the query's
+  * collected rectangles `lr` (DESIGN.md §2), harvest clean cells, prune
   * dirty cells by bound, split survivors (Function Split) unless the drop
   * condition (Def. 8) holds.
   *
   * The object owns the query's incumbent. It starts as the empty region,
-  * anchored strictly outside every rectangle, and only harvested clean-cell
-  * centres improve it, so every answer lies in an open cell of the edge
-  * arrangement (Lemmas 3 and 7). GI-DS [[run]]s it over many index cells so
-  * that pruning compounds (Algorithm 2).
+  * anchored strictly outside every rectangle (`lr.edges.outsideX/Y`), and
+  * only harvested clean-cell centres improve it, so every answer lies in an
+  * open cell of the edge arrangement (Lemmas 3 and 7). GI-DS [[run]]s it
+  * over many index cells so that pruning compounds (Algorithm 2).
   */
-final class DSSearch(q: PreparedQuery, objective: MinDistance, delta: Double) {
+final class DSSearch(lr: LocalRects, objective: MinDistance, delta: Double) {
   import DSSearch.{Entry, entryOrd}
 
   private val spec = objective.spec
   var bestScore: Double = objective.emptyScore
-  var bestX: Double = q.space.x1 + q.a
-  var bestY: Double = q.space.y1 + q.b
+  var bestX: Double = lr.edges.outsideX
+  var bestY: Double = lr.edges.outsideY
   val stats = new SearchStats
 
   // Reused by every harvest: a cell's exact vector or its bounding vectors.
@@ -62,14 +62,13 @@ final class DSSearch(q: PreparedQuery, objective: MinDistance, delta: Double) {
   private def offer(score: Double, x: Double, y: Double): Unit =
     if (score < bestScore) { bestScore = score; bestX = x; bestY = y }
 
-  /** Search `space`, updating the incumbent: `idxs` of `q.local` include
+  /** Search `space`, updating the incumbent: `idxs` of `lr` include
     * every rectangle overlapping it, and no point in it scores below
     * `bound`. DS-Search passes the whole space; GI-DS one index cell or
     * boundary strip at a time.
     */
   def run(space: Box, idxs: Array[Int], bound: Double): Unit = {
-    val lr = q.local
-    val (dX, dY) = q.accuracy
+    val (dX, dY) = lr.edges.accuracy
     val heap = mutable.PriorityQueue(Entry(bound, space, idxs))(entryOrd)
     while (heap.nonEmpty && heap.head.bound < threshold) {
       if (stats.spacesProcessed >= DSSearch.MaxSpaces) {
@@ -159,21 +158,23 @@ object DSSearch {
     */
   def solveASRS(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
                 target: Array[Double]): Result =
-    solve(PreparedQuery(objects, a, b, spec), MinDistance(spec, target))
+    solve(Rects.local(objects, a, b, spec), MinDistance(spec, target))
 
-  /** MaxRS solve (§7.5) as the ASRS query of [[PreparedQuery.maxRS]] with
-    * target n: the least distance d is n − (the largest count).
+  /** MaxRS solve (§7.5) as the ASRS query of [[Rects.maxRS]] with target n:
+    * the least distance d is n − (the largest count).
     */
   def solveMaxRS(objects: DataFrame, a: Double, b: Double): Result = {
-    val q = PreparedQuery.maxRS(objects, a, b)
-    val r = solve(q, MinDistance(PreparedQuery.CountSpec, Array(q.n.toDouble)))
-    r.copy(score = q.n - r.score)
+    val lr = Rects.maxRS(objects, a, b)
+    val r = solve(lr, MinDistance(Rects.CountSpec, Array(lr.n.toDouble)))
+    r.copy(score = lr.n - r.score)
   }
 
-  private def solve(q: PreparedQuery, objective: MinDistance): Result = {
-    if (q.n == 0) return Result(0, 0, objective.emptyScore, new SearchStats)
-    val ds = new DSSearch(q, objective, delta = 0.0)
-    ds.run(q.space, Array.range(0, q.n), 0.0)
+  /** With no rectangles there is no space to search: the answer is the
+    * empty region.
+    */
+  private def solve(lr: LocalRects, objective: MinDistance): Result = {
+    val ds = new DSSearch(lr, objective, delta = 0.0)
+    if (lr.n > 0) ds.run(lr.edges.space, Array.range(0, lr.n), 0.0)
     Result(ds.bestX, ds.bestY, ds.bestScore, ds.stats)
   }
 }

@@ -30,13 +30,15 @@ object GIDS {
     require(index.spec.aggs == spec.aggs,
       s"the index was built for aggregators ${index.spec.aggs.mkString(", ")}, " +
       s"not the query's ${spec.aggs.mkString(", ")}")
-    val q = PreparedQuery(objects, a, b, spec)
-    require(index.n == q.n && index.maxX == q.space.x1 && index.maxY == q.space.y1,
-      s"the index was built from other data: ${index.n} objects with max (x, y) = " +
-      s"(${index.maxX}, ${index.maxY}), not the query's ${q.n} with (${q.space.x1}, ${q.space.y1})")
-    val lr = q.local
+    val lr = Rects.local(objects, a, b, spec)
+    require(index.n == lr.n,
+      s"the index was built from other data: ${index.n} objects, not the query's ${lr.n}")
+    val space = lr.edges.space
+    require(index.maxX == space.x1 && index.maxY == space.y1,
+      s"the index was built from other data: max (x, y) = (${index.maxX}, ${index.maxY}), " +
+      s"not the query's (${space.x1}, ${space.y1})")
     val objective = MinDistance(spec, target)
-    val ds = new DSSearch(q, objective, params.delta)
+    val ds = new DSSearch(lr, objective, params.delta)
     val all = Array.range(0, lr.n)
 
     // Boundary strips: candidate corners left of / below the index space

@@ -51,40 +51,25 @@ object MaxRSOE {
     */
   def solveWeighted(lr: LocalRects, weights: Array[Long]): Result = {
     def w(r: Int): Long = if (weights == null) 1L else weights(r)
-    if (lr.n == 0) return Result(0, 0, 0)
-    val ys = (lr.ylo ++ lr.yhi).distinct.sorted
-    val yIdx = ys.zipWithIndex.toMap
-    val m = ys.length - 1 // elementary y-intervals
-    if (m == 0) return Result(lr.xlo(0) + 1e-9, lr.ylo(0), 0)
-    val tree = new SegTree(m)
+    val edges = lr.edges
+    val (xs, ys) = (edges.xs, edges.ys)
+    val tree = new SegTree(ys.length - 1) // elementary y-intervals
+    def add(r: Int, v: Long): Unit =
+      tree.add(edges.yIndex(lr.ylo(r)), edges.yIndex(lr.yhi(r)) - 1, v)
+    var best = 0L; var bx = edges.outsideX; var by = edges.outsideY
 
-    val xs = (lr.xlo ++ lr.xhi).distinct.sorted
-    val byLo = Array.range(0, lr.n).sortBy(lr.xlo)
-    val byHi = Array.range(0, lr.n).sortBy(lr.xhi)
-    var pLo = 0; var pHi = 0
-    var best = 0L; var bx = xs.last + 1.0; var by = ys.last + 1.0
-
-    var k = 0
-    while (k < xs.length - 1) {
-      val x = xs(k)
-      while (pHi < lr.n && lr.xhi(byHi(pHi)) <= x) {
-        val r = byHi(pHi); tree.add(yIdx(lr.ylo(r)), yIdx(lr.yhi(r)) - 1, -w(r)); pHi += 1
-      }
-      while (pLo < lr.n && lr.xlo(byLo(pLo)) <= x) {
-        val r = byLo(pLo); tree.add(yIdx(lr.ylo(r)), yIdx(lr.yhi(r)) - 1, w(r)); pLo += 1
-      }
+    edges.sweepX(r => add(r, -w(r)), r => add(r, w(r))) { k =>
       if (tree.max > best) {
         best = tree.max
-        bx = (x + xs(k + 1)) / 2
+        bx = (xs(k) + xs(k + 1)) / 2
         val t = tree.argmax
         by = (ys(t) + ys(t + 1)) / 2
       }
-      k += 1
     }
     Result(bx, by, best)
   }
 
   /** End-to-end MaxRS baseline over a DataFrame of objects. */
   def solveMaxRS(objects: DataFrame, a: Double, b: Double): Result =
-    solve(PreparedQuery.maxRS(objects, a, b).local)
+    solve(Rects.maxRS(objects, a, b))
 }

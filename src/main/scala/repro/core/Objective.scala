@@ -2,7 +2,7 @@ package repro.core
 
 /** The search objective: minimize the weighted L1 distance to the query
   * representation. MaxRS (§7.5) is the same query: one sum over a constant-1
-  * column ([[PreparedQuery.CountSpec]]) with target n = |O|, so a region's
+  * column ([[Rects.CountSpec]]) with target n = |O|, so a region's
   * distance is n − count and Eq. 1's bound is n − (upper count).
   */
 final case class MinDistance(spec: CompositeAggregator, target: Array[Double]) {

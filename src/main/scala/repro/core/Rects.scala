@@ -23,61 +23,43 @@ object Rects {
       .withColumn("yhi", col("y"))
   }
 
-  /** The ASP search space: every point covered by at least one rectangle lies
-    * in the union bounding box of the rectangles; everything outside has the
-    * empty representation.
+  /** One query's driver snapshot, shared by every solver: its `a×b`
+    * rectangles in one collect, the query's only Spark job.
     */
-  def searchSpace(local: LocalRects): Box = {
-    if (local.n == 0) return Box(0, 0, 1, 1)
-    var x0 = Double.MaxValue; var y0 = Double.MaxValue
-    var x1 = Double.MinValue; var y1 = Double.MinValue
-    var i = 0
-    while (i < local.n) {
-      x0 = math.min(x0, local.xlo(i)); x1 = math.max(x1, local.xhi(i))
-      y0 = math.min(y0, local.ylo(i)); y1 = math.max(y1, local.yhi(i))
-      i += 1
-    }
-    Box(x0, y0, x1, y1)
-  }
-}
-
-/** One query's set-up, shared by every solver: the driver-side snapshot of
-  * its `a×b` rectangles (one collect, the query's only Spark job), the ASP
-  * search space and ΔX/ΔY, both taken from the snapshot.
-  */
-final class PreparedQuery(val local: LocalRects, val a: Double, val b: Double) {
-  def n: Int = local.n
-  lazy val space: Box = Rects.searchSpace(local)
-  lazy val accuracy: (Double, Double) = Accuracy.ofLocal(local)
-}
-
-object PreparedQuery {
-  def apply(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator): PreparedQuery =
-    new PreparedQuery(LocalRects.collect(Rects.build(objects, a, b, spec), spec), a, b)
+  def local(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator): LocalRects =
+    LocalRects.collect(build(objects, a, b, spec), spec)
 
   /** MaxRS's aggregator: one sum over the constant-1 `__one` column, so a
     * region's representation is its object count.
     */
   val CountSpec: CompositeAggregator = CompositeAggregator.uniform(SumAgg("__one"))
 
-  /** A MaxRS query (§7.5): [[CountSpec]] over `objects` with `__one` added. */
-  def maxRS(objects: DataFrame, a: Double, b: Double): PreparedQuery =
-    apply(objects.withColumn("__one", lit(1.0)), a, b, CountSpec)
+  /** A MaxRS query's snapshot (§7.5): [[CountSpec]] over `objects` with
+    * `__one` added.
+    */
+  def maxRS(objects: DataFrame, a: Double, b: Double): LocalRects =
+    local(objects.withColumn("__one", lit(1.0)), a, b, CountSpec)
 }
 
-/** Struct-of-arrays snapshot of rectangles for the driver-local discretizer.
-  * Per aggregator: f_D keeps the domain index (−1 = not selected), f_A/f_S a
-  * value + selected flag — mirroring the helper columns of [[Agg.prepare]].
+/** Struct-of-arrays snapshot of a query's rectangles on the driver, the one
+  * every solver and the local discretizer read. The attribute columns mirror
+  * the helper columns of [[Agg.prepare]] and are indexed by aggregator
+  * position: an f_D aggregator has its domain index in `distIdx` (−1 = not
+  * selected), an f_A/f_S one a value in `numVal` and a selected flag in
+  * `numSel`; the other two entries of a position are `null`.
   */
 final class LocalRects(
     val n: Int,
     val xlo: Array[Double], val ylo: Array[Double],
     val xhi: Array[Double], val yhi: Array[Double],
-    val distIdx: Array[Array[Int]],     // one array per f_D aggregator position
-    val numVal: Array[Array[Double]],   // one array per f_A/f_S aggregator position
+    val distIdx: Array[Array[Int]],
+    val numVal: Array[Array[Double]],
     val numSel: Array[Array[Boolean]],
 ) {
   def box(i: Int): Box = Box(xlo(i), ylo(i), xhi(i), yhi(i))
+
+  /** The rectangles' edge arrangement, sorted once per snapshot. */
+  lazy val edges: Edges = new Edges(this)
 
   /** Those of the rectangles `among` whose interior intersects `space`. */
   def overlapping(space: Box, among: Array[Int]): Array[Int] =
@@ -86,18 +68,6 @@ final class LocalRects(
 }
 
 object LocalRects {
-
-  /** Map aggregator position → slot in the dist/num arrays. */
-  def slots(spec: CompositeAggregator): (Array[Int], Array[Int]) = {
-    val distSlot = Array.fill(spec.aggs.size)(-1)
-    val numSlot  = Array.fill(spec.aggs.size)(-1)
-    var d = 0; var m = 0
-    spec.aggs.zipWithIndex.foreach {
-      case (_: DistAgg, i) => distSlot(i) = d; d += 1
-      case (_, i)          => numSlot(i) = m; m += 1
-    }
-    (distSlot, numSlot)
-  }
 
   /** Collect a (filtered) prepared rectangle DataFrame to the driver. */
   def collect(rects: DataFrame, spec: CompositeAggregator): LocalRects =
@@ -113,13 +83,12 @@ object LocalRects {
 
   def fromRows(rows: Array[Row], spec: CompositeAggregator): LocalRects = {
     val n = rows.length
-    val (distSlot, numSlot) = slots(spec)
-    val nDist = distSlot.count(_ >= 0); val nNum = numSlot.count(_ >= 0)
+    val dist = spec.aggs.map(_.isInstanceOf[DistAgg]).toArray
     val xlo = new Array[Double](n); val ylo = new Array[Double](n)
     val xhi = new Array[Double](n); val yhi = new Array[Double](n)
-    val dIdx = Array.fill(nDist)(new Array[Int](n))
-    val nVal = Array.fill(nNum)(new Array[Double](n))
-    val nSel = Array.fill(nNum)(new Array[Boolean](n))
+    val dIdx = dist.map(d => if (d) new Array[Int](n) else null)
+    val nVal = dist.map(d => if (d) null else new Array[Double](n))
+    val nSel = dist.map(d => if (d) null else new Array[Boolean](n))
     var r = 0
     while (r < n) {
       val row = rows(r)
@@ -128,11 +97,11 @@ object LocalRects {
       var c = 4
       spec.aggs.zipWithIndex.foreach {
         case (_: DistAgg, i) =>
-          dIdx(distSlot(i))(r) = row.getInt(c); c += 1
+          dIdx(i)(r) = row.getInt(c); c += 1
         case (_, i) =>
           val v = row.get(c)
-          nVal(numSlot(i))(r) = if (v == null) 0.0 else v.asInstanceOf[Double]
-          nSel(numSlot(i))(r) = v != null && row.getBoolean(c + 1)
+          nVal(i)(r) = if (v == null) 0.0 else v.asInstanceOf[Double]
+          nSel(i)(r) = v != null && row.getBoolean(c + 1)
           c += 2
       }
       r += 1

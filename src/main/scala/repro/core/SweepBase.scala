@@ -16,31 +16,21 @@ object SweepBase {
 
   final case class Result(x: Double, y: Double, score: Double, intervals: Long)
 
-  /** The sweep over a query's collected rectangles. `spec` repeats
-    * `objective.spec`; the signature stays because perfbench's traced run
-    * calls it.
+  /** The sweep over a query's collected rectangles, on their
+    * [[Edges.sweepX]]. `spec` repeats `objective.spec`; the signature stays
+    * because perfbench's traced run calls it.
     */
   def solve(lr: LocalRects, spec: CompositeAggregator, objective: MinDistance): Result = {
+    val edges = lr.edges
     var bestScore = objective.emptyScore
-    var bx = (if (lr.n > 0) lr.xhi.max else 0.0) + 1.0
-    var by = (if (lr.n > 0) lr.yhi.max else 0.0) + 1.0
+    var bx = edges.outsideX; var by = edges.outsideY
     var intervals = 0L
-    if (lr.n == 0) return Result(bx, by, bestScore, 0)
-
-    val xs = (lr.xlo ++ lr.xhi).distinct.sorted
-    val byLo = Array.range(0, lr.n).sortBy(lr.xlo)
-    val byHi = Array.range(0, lr.n).sortBy(lr.xhi)
     val active = mutable.LinkedHashSet.empty[Int]
     val vec = new Array[Double](spec.dim)
-    var pLo = 0; var pHi = 0
 
-    var k = 0
-    while (k < xs.length - 1) {
-      val x = xs(k)
-      while (pHi < lr.n && lr.xhi(byHi(pHi)) <= x) { active.remove(byHi(pHi)); pHi += 1 }
-      while (pLo < lr.n && lr.xlo(byLo(pLo)) <= x) { active.add(byLo(pLo)); pLo += 1 }
+    edges.sweepX(active.remove(_), active.add(_)) { k =>
       if (active.nonEmpty) {
-        val px = (x + xs(k + 1)) / 2
+        val px = (edges.xs(k) + edges.xs(k + 1)) / 2
         // y-sweep inside the slab
         val acts = active.toArray
         val events = new Array[(Double, Int, Int)](acts.length * 2) // (y, kind 0=open 1=close, rect)
@@ -70,7 +60,6 @@ object SweepBase {
           }
         }
       }
-      k += 1
     }
     Result(bx, by, bestScore, intervals)
   }
@@ -78,6 +67,6 @@ object SweepBase {
   /** End-to-end ASRS baseline over a DataFrame of objects. */
   def solveASRS(objects: DataFrame, a: Double, b: Double, spec: CompositeAggregator,
                 target: Array[Double]): Result = {
-    solve(PreparedQuery(objects, a, b, spec).local, spec, MinDistance(spec, target))
+    solve(Rects.local(objects, a, b, spec), spec, MinDistance(spec, target))
   }
 }

@@ -6,8 +6,7 @@ import repro.SynthData
 import repro.core._
 
 /** Shared harnesses producing the rows of every evaluation artifact
-  * (DESIGN.md §5). Benches (`bench/`) print and sanity-assert these; jobs
-  * (`jobs/`) expose them to spark-submit.
+  * (DESIGN.md §5). Benches (`bench/`) print and sanity-assert these.
   */
 object Experiments {
 
@@ -36,7 +35,7 @@ object Experiments {
     */
   def f2AndTarget(data: DataFrame, a: Double, b: Double): (CompositeAggregator, Array[Double]) = {
     val visits = CompositeAggregator.uniform(SumAgg("visits"))
-    val lr = PreparedQuery(data, a, b, visits).local
+    val lr = Rects.local(data, a, b, visits)
     val vmax = math.max(1L, MaxRSOE.solveWeighted(lr, lr.numVal(0).map(math.round)).count)
     val spec = CompositeAggregator(
       Seq(SumAgg("visits"), AvgAgg("rating")),

@@ -5,12 +5,12 @@ import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 import scala.util.Random
 
-/** A seeded differential net at n = 1,000 (duplicate-heavy on the 1/64
-  * lattice): DS-Search and GI-DS equal the Base sweep and answer off every
-  * rectangle's boundary, and app-GIDS keeps its (1+δ) guarantee, for every
-  * test spec, on reachable and unreachable targets, on a query larger than
-  * the data's extent and on collinear data; DS-MaxRS equals OE on the same
-  * data and query sizes.
+/** A seeded differential net at n = 1,000 and 5,000 (duplicate-heavy on
+  * the 1/64 lattice): DS-Search and GI-DS equal the Base sweep and answer
+  * off every rectangle's boundary, and app-GIDS keeps its (1+δ) guarantee,
+  * for every test spec, on reachable and unreachable targets, on a query
+  * larger than the data's extent and on collinear data; DS-MaxRS equals OE
+  * on the same data and query sizes.
   */
 class DifferentialSpec extends SparkSpec {
 
@@ -73,6 +73,22 @@ class DifferentialSpec extends SparkSpec {
     }
     test(s"DS-MaxRS agrees with OE at n = 1,000 (query size of spec $k)") {
       checkMaxRS(TestGen.df(spark, 1000, 1), a, b)
+    }
+  }
+
+  // n = 5,000: query sides of 4–11 lattice steps keep Base's O(n²) sweep to
+  // about 2 s a test.
+  for ((spec, k) <- TestGen.specs.zipWithIndex) {
+    val rng = new Random(k * 103 + 11)
+    val a = (rng.nextInt(8) + 4) / 64.0; val b = (rng.nextInt(8) + 4) / 64.0
+    test(s"DS-Search, GI-DS and app-GIDS agree with Base at n = 5,000 (spec $k)") {
+      val data = TestGen.df(spark, 5000, 2)
+      val target = TestGen.target(spark, data, spec, a, b, k + 11)
+      check(data, spec, a, b, target)
+      check(data, spec, a, b, unreachable(target))
+    }
+    test(s"DS-MaxRS agrees with OE at n = 5,000 (query size of spec $k)") {
+      checkMaxRS(TestGen.df(spark, 5000, 2), a, b)
     }
   }
 

@@ -9,10 +9,10 @@ import scala.util.Random
   */
 class MaxRSSpec extends SparkSpec {
 
-  private val spec = PreparedQuery.CountSpec
+  private val spec = Rects.CountSpec
 
   private def rectsOf(data: org.apache.spark.sql.DataFrame, a: Double, b: Double): LocalRects =
-    PreparedQuery.maxRS(data, a, b).local
+    Rects.maxRS(data, a, b)
 
   for (seed <- 1 to 8) test(s"DS-MaxRS and OE equal brute force (seed $seed)") {
     val data = TestGen.df(spark, 35, seed)
