@@ -70,14 +70,17 @@ object CompositeAggregator {
   * `prepare` adds, per aggregator `i`:
   *   - f_D: `a{i}_idx` — index of the attribute value in the domain, or -1
   *     when the object is filtered out by γ or the value is out of domain;
-  *   - f_A / f_S: `a{i}_val` (double) and `a{i}_sel` (boolean γ outcome).
+  *   - f_A / f_S: `a{i}_val` (double) and `a{i}_sel` (boolean γ outcome,
+  *     never null: false when the value or γ's column is null).
   * Both the distributed groupBy path and the collected local path work off
-  * these columns, so the two discretizers cannot drift apart.
+  * these columns, so the two discretizers cannot drift apart; the grid index
+  * reads them through the local path too.
   */
 object Agg {
 
+  /** γ's outcome, never null: an object whose `col` is null is not selected. */
   private def selCond(sel: Option[Selection]): Column =
-    sel.map(s => col(s.col).cast("string") === lit(s.value)).getOrElse(lit(true))
+    sel.map(s => col(s.col).cast("string") <=> lit(s.value)).getOrElse(lit(true))
 
   def prepare(df: DataFrame, spec: CompositeAggregator): DataFrame =
     spec.aggs.zipWithIndex.foldLeft(df) { case (d, (a, i)) =>
@@ -86,12 +89,9 @@ object Agg {
           val idx = array_position(
             lit(domain.toArray), col(attr).cast("string")).cast("int") - 1
           d.withColumn(s"a${i}_idx", when(selCond(sel) && idx >= 0, idx).otherwise(-1))
-        case AvgAgg(attr, sel) =>
-          d.withColumn(s"a${i}_val", col(attr).cast("double"))
-            .withColumn(s"a${i}_sel", selCond(sel) && col(attr).isNotNull)
-        case SumAgg(attr, sel) =>
-          d.withColumn(s"a${i}_val", col(attr).cast("double"))
-            .withColumn(s"a${i}_sel", selCond(sel) && col(attr).isNotNull)
+        case num @ (_: AvgAgg | _: SumAgg) =>
+          d.withColumn(s"a${i}_val", col(num.attr).cast("double"))
+            .withColumn(s"a${i}_sel", selCond(num.sel) && col(num.attr).isNotNull)
       }
     }
 

@@ -11,11 +11,12 @@ import scala.collection.mutable
   * as in DS-Search, and is shared by every cell, until the next bound
   * reaches `d_opt/(1+δ)` (δ = 0 ⇒ exact, Algorithm 2 line 5).
   *
-  * Orchestration note (DESIGN.md §2): the index is built by Spark; the query
-  * is one collect of its rectangles, and the per-cell searches run on the
-  * driver over per-cell buckets of them. Bucketing every rectangle up front
-  * and searching each index cell on a full grid make GI-DS slower than plain
-  * DS-Search at n = 200k (ROADMAP item 9).
+  * Orchestration note (DESIGN.md §2): the index is built on the driver from
+  * one collect of the objects; the query is one collect of its rectangles,
+  * and the per-cell searches run on the driver over per-cell buckets of them.
+  * Bucketing every rectangle up front and searching each index cell on a
+  * full grid make GI-DS slower than plain DS-Search at n = 200k (ROADMAP
+  * item 9).
   */
 object GIDS {
 

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 
 /** The §5 grid index: a query-independent `sx×sy` grid over the objects with
   * per-cell *attribute summary tables*, stored as 2-D suffix aggregates so
@@ -113,54 +112,49 @@ final class GridIndex(
 
 object GridIndex {
 
-  /** Distributed build in two Spark queries: the bounding box, object count and
-    * f_A extremes in one aggregate; then every object assigned to its index
-    * cell and one `groupBy(si, sj)` computing all statistic columns, whose
-    * ≤ sx·sy rows are accumulated into the 2-D suffix tables on the driver.
+  /** Driver build from one snapshot of the objects: every object is binned
+    * into its index cell and its statistic columns added there, then each
+    * table is turned into 2-D suffix sums. The snapshot is a query's
+    * [[LocalRects]] for any `a×b`, whose upper corners are the objects.
     */
   def build(objects: DataFrame, spec: CompositeAggregator, sx: Int, sy: Int): GridIndex = {
-    val prepared = Agg.prepare(objects, spec)
-    val avgs = spec.aggs.indices.filter(i => spec.aggs(i).isInstanceOf[AvgAgg])
-    val extremeCols = avgs.flatMap { i =>
-      val selected = when(col(s"a${i}_sel"), col(s"a${i}_val"))
-      Seq(min(selected), max(selected))
-    }
-    val bb = prepared.agg(min("x"), Seq(min("y"), max("x"), max("y"), count(lit(1))) ++ extremeCols: _*)
-      .collect()(0)
-    require(!bb.isNullAt(0), "GridIndex.build: no objects to index (empty input)")
-    val space = Box(bb.getDouble(0), bb.getDouble(1),
-                    math.max(bb.getDouble(2), bb.getDouble(0) + 1e-9),
-                    math.max(bb.getDouble(3), bb.getDouble(1) + 1e-9))
-    def orZero(c: Int) = if (bb.isNullAt(c)) 0.0 else bb.getDouble(c)
-    val extremes = Array.fill(spec.aggs.size)((0.0, 0.0))
-    avgs.zipWithIndex.foreach { case (i, m) => extremes(i) = (orZero(5 + 2 * m), orZero(6 + 2 * m)) }
-
+    val lr = Rects.local(objects, 1.0, 1.0, spec)
+    require(lr.n > 0, "GridIndex.build: no objects to index (empty input)")
+    val xs = lr.xhi; val ys = lr.yhi
+    val x0 = xs.min; val y0 = ys.min; val maxX = xs.max; val maxY = ys.max
+    val space = Box(x0, y0, math.max(maxX, x0 + 1e-9), math.max(maxY, y0 + 1e-9))
     val cw = space.width / sx; val ch = space.height / sy
-    val si = least(lit(sx - 1), floor((col("x") - space.x0) / cw).cast("int"))
-    val sj = least(lit(sy - 1), floor((col("y") - space.y0) / ch).cast("int"))
-    def total(c: Column) = coalesce(sum(c), lit(0.0))
-    val statCols = spec.aggs.zipWithIndex.flatMap { case (agg, i) =>
-      val sel = col(s"a${i}_sel"); val v = col(s"a${i}_val")
-      agg match {
-        case DistAgg(_, dom, _) => dom.indices.map(j => total(when(col(s"a${i}_idx") === j, 1.0)))
-        case _: AvgAgg => Seq(total(when(sel, 1.0)), total(when(sel, v)))
-        case _: SumAgg => Seq(total(when(sel && v > 0, v)), total(when(sel && v < 0, v)))
-      }
+    val cell = Array.tabulate(lr.n) { r =>
+      math.min(sx - 1, math.floor((xs(r) - x0) / cw).toInt) * (sy + 1) +
+        math.min(sy - 1, math.floor((ys(r) - y0) / ch).toInt)
     }
-    val rows = prepared
-      .withColumn("si", si).withColumn("sj", sj)
-      .groupBy(col("si"), col("sj"))
-      .agg(statCols.head, statCols.tail: _*)
-      .collect()
 
-    // Column by column into the tables, laid out [i * (sy+1) + j]; then the
-    // suffix sums S[i][j] += S[i+1][j] + S[i][j+1] − S[i+1][j+1].
-    val tables = Array.fill(statCols.size)(new Array[Double]((sx + 1) * (sy + 1)))
-    rows.foreach { r =>
-      val cell = r.getInt(0) * (sy + 1) + r.getInt(1)
-      var k = 0
-      while (k < tables.length) { tables(k)(cell) += r.getDouble(2 + k); k += 1 }
+    // Each object's statistic columns into its cell of each table, laid out
+    // [i * (sy+1) + j].
+    val width = spec.aggs.map { case d: DistAgg => d.domain.size; case _ => 2 }
+    val tables = Array.fill(width.sum)(new Array[Double]((sx + 1) * (sy + 1)))
+    val extremes = Array.fill(spec.aggs.size)((0.0, 0.0))
+    val all = Array.range(0, lr.n)
+    var k = 0 // aggregator i's first statistic column
+    spec.aggs.zipWithIndex.foreach { case (agg, i) =>
+      agg match {
+        case _: DistAgg =>
+          val idx = lr.distIdx(i)
+          all.foreach(r => if (idx(r) >= 0) tables(k + idx(r))(cell(r)) += 1.0)
+        case _: AvgAgg =>
+          val v = lr.numVal(i); val sel = all.filter(lr.numSel(i)(_))
+          sel.foreach { r => tables(k)(cell(r)) += 1.0; tables(k + 1)(cell(r)) += v(r) }
+          if (sel.nonEmpty) { val vs = sel.map(v); extremes(i) = (vs.min, vs.max) }
+        case _: SumAgg =>
+          val v = lr.numVal(i)
+          all.filter(lr.numSel(i)(_)).foreach { r =>
+            if (v(r) > 0) tables(k)(cell(r)) += v(r) else if (v(r) < 0) tables(k + 1)(cell(r)) += v(r)
+          }
+      }
+      k += width(i)
     }
+
+    // Suffix sums S[i][j] += S[i+1][j] + S[i][j+1] − S[i+1][j+1].
     tables.foreach { s =>
       var i = sx - 1
       while (i >= 0) {
@@ -173,6 +167,6 @@ object GridIndex {
       }
     }
 
-    new GridIndex(space, sx, sy, spec, tables, extremes, bb.getLong(4), bb.getDouble(2), bb.getDouble(3))
+    new GridIndex(space, sx, sy, spec, tables, extremes, lr.n.toLong, maxX, maxY)
   }
 }

@@ -95,14 +95,16 @@ object LocalRects {
       xlo(r) = row.getDouble(0); ylo(r) = row.getDouble(1)
       xhi(r) = row.getDouble(2); yhi(r) = row.getDouble(3)
       var c = 4
-      spec.aggs.zipWithIndex.foreach {
-        case (_: DistAgg, i) =>
-          dIdx(i)(r) = row.getInt(c); c += 1
-        case (_, i) =>
+      var i = 0
+      while (i < dist.length) {
+        if (dist(i)) { dIdx(i)(r) = row.getInt(c); c += 1 }
+        else {
           val v = row.get(c)
           nVal(i)(r) = if (v == null) 0.0 else v.asInstanceOf[Double]
           nSel(i)(r) = v != null && row.getBoolean(c + 1)
           c += 2
+        }
+        i += 1
       }
       r += 1
     }

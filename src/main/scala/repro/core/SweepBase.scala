@@ -10,7 +10,7 @@ import scala.collection.mutable
   * each slab a y-sweep over the active rectangles' edges maintains the
   * aggregate representation incrementally and scores every elementary
   * interval. Driver-side and sequential, as in the paper (their baseline is
-  * a single-threaded C++ sweep); DS-Search is the distributed contribution.
+  * a single-threaded C++ sweep), like every solver here.
   */
 object SweepBase {
 

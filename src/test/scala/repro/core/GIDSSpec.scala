@@ -23,6 +23,23 @@ class GIDSSpec extends SparkSpec {
       assert(res.cellsSearched >= 0 && res.cellsSearched <= res.totalCells)
     }
 
+  for ((spec, k) <- TestGen.specs.zipWithIndex)
+    test(s"DS-Search, GI-DS and Base equal brute force with null attributes (spec $k)") {
+      val data = TestGen.dfWithNulls(spark, 40, k + 1)
+      val rng = new Random(k * 37 + 3)
+      val a = (rng.nextInt(14) + 4) / 64.0; val b = (rng.nextInt(14) + 4) / 64.0
+      val target = TestGen.target(spark, data, spec, a, b, k + 1)
+      val lr = TestGen.localRects(data, a, b, spec)
+      val brute = BruteForce.solve(lr, MinDistance(spec, target)).score
+      val scores = Seq(
+        "DS-Search" -> DSSearch.solveASRS(data, a, b, spec, target).score,
+        "GI-DS" -> GIDS.solve(data, a, b, spec, target, GridIndex.build(data, spec, 8, 8)).score,
+        "Base" -> SweepBase.solveASRS(data, a, b, spec, target).score)
+      scores.foreach { case (solver, score) =>
+        assert(math.abs(score - brute) < 1e-9, s"$solver $score vs brute $brute (a=$a b=$b)")
+      }
+    }
+
   test("optimum left of the index space is found (boundary strips)") {
     import spark.implicits._
     // Single pair of objects near the left edge: the best corner for a target

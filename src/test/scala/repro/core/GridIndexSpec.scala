@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import scala.util.Random
 
@@ -16,43 +17,54 @@ class GridIndexSpec extends SparkSpec {
     def total(when: String, what: String) = s"COALESCE(SUM(CASE WHEN $when THEN $what ELSE 0 END), 0)"
     spec.aggs.flatMap {
       case DistAgg(attr, dom, s) => dom.map(d => total(s"$attr = '$d' AND ${sel(s)}", "1"))
-      case AvgAgg(attr, s) => Seq(total(sel(s), "1"), total(sel(s), s"CAST($attr AS DOUBLE)"))
+      case AvgAgg(attr, s) =>
+        val selected = s"${sel(s)} AND $attr IS NOT NULL"
+        Seq(total(selected, "1"), total(selected, s"CAST($attr AS DOUBLE)"))
       case SumAgg(attr, s) =>
-        Seq(total(s"${sel(s)} AND CAST($attr AS DOUBLE) > 0", s"CAST($attr AS DOUBLE)"),
-            total(s"${sel(s)} AND CAST($attr AS DOUBLE) < 0", s"CAST($attr AS DOUBLE)"))
+        Seq(total(s"${sel(s)} AND $attr IS NOT NULL AND CAST($attr AS DOUBLE) > 0", s"CAST($attr AS DOUBLE)"),
+            total(s"${sel(s)} AND $attr IS NOT NULL AND CAST($attr AS DOUBLE) < 0", s"CAST($attr AS DOUBLE)"))
     }
   }
 
-  // Spec 3's f_D columns are spec 0's; spec 4 adds a selection to every kind.
+  /** Every statistic column of specs 3 and 4 summed over five random cell
+    * ranges `[i0,i1) × [j0,j1)` of a `g×g` index from the suffix tables must
+    * equal a direct SQL sum with half-open coordinate predicates (mirroring
+    * the build's floor assignment). Spec 3's f_D columns are spec 0's; spec 4
+    * adds a selection to every kind.
+    */
+  private def checkRangeSums(data: DataFrame, g: Int, rng: Random): Unit =
+    for (spec <- Seq(TestGen.specs(3), TestGen.specs(4))) {
+      val idx = GridIndex.build(data, spec, g, g)
+      val cols = statColumnsSql(spec)
+      for (_ <- 1 to 5) {
+        val i0 = rng.nextInt(g); val i1 = i0 + 1 + rng.nextInt(g - i0)
+        val j0 = rng.nextInt(g); val j1 = j0 + 1 + rng.nextInt(g - j0)
+        val xLo = idx.space.x0 + i0 * idx.grid.cw; val xHi = idx.space.x0 + i1 * idx.grid.cw
+        val yLo = idx.space.y0 + j0 * idx.grid.ch; val yHi = idx.space.y0 + j1 * idx.grid.ch
+        val xHiPred = if (i1 == idx.sx) s"CAST(x AS DOUBLE) <= ${idx.space.x1}"
+                      else s"CAST(x AS DOUBLE) < $xHi"
+        val yHiPred = if (j1 == idx.sy) s"CAST(y AS DOUBLE) <= ${idx.space.y1}"
+                      else s"CAST(y AS DOUBLE) < $yHi"
+        val sql = cols.zipWithIndex.map { case (c, k) => s"CAST($c AS DOUBLE) AS c$k" }
+          .mkString("SELECT ", ", ", s" FROM t WHERE CAST(x AS DOUBLE) >= $xLo AND $xHiPred " +
+                                     s"AND CAST(y AS DOUBLE) >= $yLo AND $yHiPred")
+        val viaIndex = cols.indices.map(k => idx.range(k, i0, i1, j0, j1))
+        import spark.implicits._
+        val sparkDf = Seq(viaIndex).toDF("v").selectExpr(cols.indices.map(k => s"v[$k] AS c$k"): _*)
+        Oracle.assertEquivalent(sparkDf, sql, "t" -> data)
+      }
+    }
+
   for (seed <- 1 to 4; g <- Seq(4, 8))
     test(s"Lemma 8 range counts match DuckDB (seed $seed, ${g}x$g)") {
-      val data = TestGen.df(spark, 60, seed)
-      val rng = new Random(seed * 11)
-      for (spec <- Seq(TestGen.specs(3), TestGen.specs(4))) {
-        val idx = GridIndex.build(data, spec, g, g)
-        val cols = statColumnsSql(spec)
-        // Every statistic column summed over a random cell range
-        // [i0,i1) x [j0,j1) from the suffix tables must equal a direct SQL
-        // sum with half-open coordinate predicates (mirroring the build's
-        // floor assignment).
-        for (_ <- 1 to 5) {
-          val i0 = rng.nextInt(g); val i1 = i0 + 1 + rng.nextInt(g - i0)
-          val j0 = rng.nextInt(g); val j1 = j0 + 1 + rng.nextInt(g - j0)
-          val xLo = idx.space.x0 + i0 * idx.grid.cw; val xHi = idx.space.x0 + i1 * idx.grid.cw
-          val yLo = idx.space.y0 + j0 * idx.grid.ch; val yHi = idx.space.y0 + j1 * idx.grid.ch
-          val xHiPred = if (i1 == idx.sx) s"CAST(x AS DOUBLE) <= ${idx.space.x1}"
-                        else s"CAST(x AS DOUBLE) < $xHi"
-          val yHiPred = if (j1 == idx.sy) s"CAST(y AS DOUBLE) <= ${idx.space.y1}"
-                        else s"CAST(y AS DOUBLE) < $yHi"
-          val sql = cols.zipWithIndex.map { case (c, k) => s"CAST($c AS DOUBLE) AS c$k" }
-            .mkString("SELECT ", ", ", s" FROM t WHERE CAST(x AS DOUBLE) >= $xLo AND $xHiPred " +
-                                       s"AND CAST(y AS DOUBLE) >= $yLo AND $yHiPred")
-          val viaIndex = cols.indices.map(k => idx.range(k, i0, i1, j0, j1))
-          import spark.implicits._
-          val sparkDf = Seq(viaIndex).toDF("v").selectExpr(cols.indices.map(k => s"v[$k] AS c$k"): _*)
-          Oracle.assertEquivalent(sparkDf, sql, "t" -> data)
-        }
-      }
+      checkRangeSums(TestGen.df(spark, 60, seed), g, new Random(seed * 11))
+    }
+
+  // About one in four `v`/`w` values is null: f_A counts and f_S sums skip
+  // them like an unselected object. A null `cat` matches no selection.
+  for (seed <- 1 to 2; g <- Seq(4, 8))
+    test(s"Lemma 8 range sums match DuckDB with null attributes (seed $seed, ${g}x$g)") {
+      checkRangeSums(TestGen.dfWithNulls(spark, 60, seed), g, new Random(seed * 13))
     }
 
   test("an f_A selection matching no object builds and bounds [0, 0] in every cell") {

@@ -11,7 +11,7 @@ import scala.jdk.CollectionConverters._
 
 /** Spark jobs per solver call: every query is set up by one collect of its
   * rectangles, and every solver searches on the driver. An index build is
-  * two aggregations.
+  * one collect of the objects, with no shuffle.
   */
 class JobCountSpec extends SparkSpec {
 
@@ -57,13 +57,12 @@ class JobCountSpec extends SparkSpec {
     }
   }
 
-  test("GridIndex.build runs two Spark queries (f_D + f_A + f_S)") {
+  test("GridIndex.build runs one Spark job") {
     val data = TestGen.df(spark, 40, 21)
     data.count()
     val (_, jobs, plans) = traced(GridIndex.build(data, TestGen.specs(3), 8, 8))
-    assert(plans.size == 2, s"GridIndex.build ran ${plans.size} Spark queries")
-    // Both aggregate through a shuffle: a map-stage job and a result job each.
-    assert(jobs == 4, s"GridIndex.build ran $jobs Spark jobs")
+    assert(jobs == 1, s"GridIndex.build ran $jobs Spark jobs")
+    assert(!plans.exists(_.contains("Exchange")), "GridIndex.build shuffled")
   }
 
   test("DS-Search and DS-MaxRS run one Spark job and no window at n = 5,000 (F1, 10q)") {

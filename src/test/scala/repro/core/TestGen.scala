@@ -39,6 +39,21 @@ object TestGen {
       objs(n, seed, res).toDF("x", "y", "cat", "v", "w").cache()
     })
 
+  private val nullFrames = TrieMap.empty[(Int, Long), DataFrame]
+
+  /** [[objs]] with about one in four `v` and `w` values and one in eight
+    * `cat` values null, as a cached DataFrame made once per `(n, seed)` like
+    * [[df]].
+    */
+  def dfWithNulls(spark: SparkSession, n: Int, seed: Long): DataFrame =
+    nullFrames.getOrElseUpdate((n, seed), {
+      import spark.implicits._
+      val rng = new Random(seed * 13 + 1)
+      def orNull[T](t: T, oneIn: Int) = if (rng.nextInt(oneIn) == 0) None else Some(t)
+      objs(n, seed).map(o => (o.x, o.y, orNull(o.cat, 8), orNull(o.v, 4), orNull(o.w, 4)))
+        .toDF("x", "y", "cat", "v", "w").cache()
+    })
+
   /** A rotation of composite aggregators covering all kinds + selections. */
   def specs: Seq[CompositeAggregator] = Seq(
     CompositeAggregator.uniform(DistAgg("cat", Cats)),
