@@ -33,9 +33,6 @@ final case class CompositeAggregator(aggs: Seq[AggSpec], weights: Array[Double])
   val dim: Int = aggs.map(_.dim).sum
   require(weights.length == dim, s"weights ${weights.length} != dim $dim")
 
-  /** Start offset of aggregator `i` inside the feature vector. */
-  val offsets: Array[Int] = aggs.scanLeft(0)(_ + _.dim).toArray
-
   /** Weighted L1 distance of Def. 4. */
   def distance(u: Array[Double], v: Array[Double]): Double = {
     var s = 0.0; var i = 0

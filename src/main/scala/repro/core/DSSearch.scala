@@ -85,11 +85,9 @@ final class DSSearch(lr: LocalRects, objective: MinDistance, delta: Double) {
           val dirty = harvest(grid, Discretize.local(lr, here, grid, spec))
           val drop = 2 * grid.cw < dX && 2 * grid.ch < dY
           if (!drop && dirty.nonEmpty) {
-            val children = SplitHeuristic.split(dirty)
-              .flatMap(SplitHeuristic.ensureProgress(_, e.space))
-            children.foreach { c =>
+            SplitHeuristic.split(dirty, e.space).foreach { c =>
               if (c.bound < threshold)
-                heap.enqueue(Entry(c.bound, c.mbr, here))
+                heap.enqueue(Entry(c.bound, c.box, here))
             }
           }
         }
@@ -100,8 +98,8 @@ final class DSSearch(lr: LocalRects, objective: MinDistance, delta: Double) {
   /** Evaluate every cell of the grid: clean cells refine the incumbent, dirty
     * cells surviving the bound check are returned for splitting.
     */
-  private def harvest(grid: Grid, cells: CellStats): IndexedSeq[SplitHeuristic.DirtyCell] = {
-    val dirty = IndexedSeq.newBuilder[SplitHeuristic.DirtyCell]
+  private def harvest(grid: Grid, cells: CellStats): IndexedSeq[SplitHeuristic.Part] = {
+    val dirty = IndexedSeq.newBuilder[SplitHeuristic.Part]
     var j = 0
     while (j < grid.nrow) {
       var i = 0
@@ -116,7 +114,7 @@ final class DSSearch(lr: LocalRects, objective: MinDistance, delta: Double) {
           cells.bounds(slot, lo, hi)
           val b = objective.bound(lo, hi)
           if (b < threshold)
-            dirty += SplitHeuristic.DirtyCell(box, b)
+            dirty += SplitHeuristic.Part(box, b)
         }
         i += 1
       }

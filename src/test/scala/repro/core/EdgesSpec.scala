@@ -6,7 +6,8 @@ import scala.util.Random
 
 /** A snapshot's edge arrangement, on the 1/64 lattice (many shared edges)
   * and off it: the sorted distinct edges, the search space, the y-index and
-  * the open set of every slab of the x-sweep.
+  * the open set of every slab of the x-sweep; and a snapshot whose
+  * rectangles are not translates of one box, which the sweep refuses.
   */
 class EdgesSpec extends SparkSpec {
 
@@ -31,4 +32,13 @@ class EdgesSpec extends SparkSpec {
       }
       assert(slabs == e.xs.length - 1)
     }
+
+  test("the x-sweep fails fast when xlo falls along the order of xhi") {
+    // Rectangle 1 is wider than rectangle 0: it ends right of it but starts
+    // left of it.
+    val lr = new LocalRects(2, Array(0.0, -1.0), Array(0.0, 0.0), Array(1.0, 2.0), Array(1.0, 1.0),
+                            Array(Array(0, 0)), Array(null), Array(null))
+    val e = intercept[IllegalArgumentException](lr.edges.sweepX(_ => (), _ => ())(_ => ()))
+    assert(e.getMessage.contains("not translates of one a×b box"))
+  }
 }
